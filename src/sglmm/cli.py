@@ -169,18 +169,21 @@ def _write_manifest(path, command, argv, settings, extra=None):
 
 
 class _ChainWriter:
-    """Streams retained draws to a CSV file, one row per draw."""
+    """Streams retained draws to a CSV file, one row per draw.
+
+    Each numeric row is one string, byte for byte what ``csv.writer`` writes
+    for its ``format_float`` cells.
+    """
 
     def __init__(self, path):
         self.fh = open(path, "w", newline="")
-        self.writer = csv.writer(self.fh)
         self.header_done = False
 
     def __call__(self, names, row):
         if not self.header_done:
-            self.writer.writerow(names)
+            csv.writer(self.fh).writerow(names)
             self.header_done = True
-        self.writer.writerow([format_float(v) for v in row])
+        self.fh.write(",".join(map(format_float, row.tolist())) + "\r\n")
 
     def close(self):
         self.fh.close()

@@ -153,7 +153,7 @@ def graph_from_edges(n: int, edges, coords=None) -> Graph:
 def laplacian(g: Graph) -> PrecisionMatrix:
     """Graph Laplacian Q = diag(A1) - A as a CAR precision matrix."""
     A = g.adjacency()
-    Q = sp.diags_array(g.degrees, format="csr") - A
+    Q = sp.diags_array(g.degrees, format="csr", dtype=float) - A
     rank = g.n - g.n_components()
     return PrecisionMatrix(Q=sp.csr_array(Q), rank=rank)
 

@@ -16,8 +16,8 @@ import numpy as np
 __all__ = ["Table", "read_table", "write_table", "read_config", "format_float"]
 
 
-def format_float(x: float) -> str:
-    return f"{x:.17g}"
+# a float as a table cell, 17 significant digits
+format_float = "{:.17g}".format
 
 
 class Table:

@@ -9,22 +9,25 @@ Kernel schedule, following the update order beta, effects, tau, sigma2:
   (traditional); Gibbs for tau.
 * Gaussian: Gibbs updates for every parameter.
 
-The effects proposals are scaled by the approximate conditional standard
-deviation given tau. For rhz and sparse the reduced precision is
-diagonalized once, Q_B = V diag(lam) V', and the chain runs in the rotated
-coordinates V' delta with loading B V, proposing each coordinate with
-standard deviation s / sqrt(c + tau lam_j); retained draws are rotated back.
-The site sweep proposes site i with s / sqrt(c + tau d_i), d_i its degree.
-Here c is the mean IRLS weight at the start (0 for prior-only runs). Given
-tau the proposals are symmetric, so the Metropolis ratio is unchanged, and
-they stay tuned as tau moves over orders of magnitude after burn-in.
+Every loading B has orthonormal columns (B = I for the traditional model).
+Except in the site sweep, the CAR precision is diagonalized once per chain,
+Q_B = V diag(lam) V', and the chain runs in the coordinates y = V' delta
+with loading B V; retained draws are rotated back. There the Gaussian
+effects conditional is diagonal for every tau and sigma2, so a Gibbs sweep
+draws it exactly with two O(nk) products and no factorization. Random-walk
+proposals are scaled by the approximate conditional standard deviation
+given tau: s / sqrt(c + tau lam_j) per coordinate, and s / sqrt(c + tau d_i)
+for site i of degree d_i, with c the mean IRLS weight at the start (0 for
+prior-only runs). Given tau the proposals are symmetric, so the Metropolis
+ratio is unchanged, and they stay tuned as tau moves over orders of
+magnitude after burn-in.
 
 The scalar steps s adapt by Robbins-Monro scaling toward acceptance 0.234
 (multivariate blocks) or 0.44 (univariate sweeps) during burn-in, then
 freeze, so post-burn-in kernels satisfy detailed balance.
 
 Randomness comes from a PCG64 generator seeded through
-``numpy.random.SeedSequence``; parallel chains split the stream by spawning
+``numpy.random.SeedSequence``; multiple chains split the stream by spawning
 child sequences, so a (seed, config) pair reproduces draws bit for bit.
 
 The univariate site sweep visits every vertex once per iteration, grouped
@@ -305,62 +308,88 @@ def _chol_mvn_from_precision(rng, precision, rhs):
     return mean + scipy.linalg.solve_triangular(cho[0].T, z, lower=False)
 
 
+def _effect_spectrum(Q_B, B, BtB=None):
+    """(lam, V, B V) with Q_B V = BtB V diag(lam) and V' BtB V = I.
+
+    BtB None means B'B = I, as every basis has; B None is the identity.
+    Eigenvalues up to 1e-10 * max(lam) are rounding noise on null directions
+    of a singular Q_B, and are set to 0 so no proposal scale blows up.
+    """
+    Q = Q_B.toarray() if sp.issparse(Q_B) else np.asarray(Q_B, dtype=float)
+    lam, V = np.linalg.eigh(Q) if BtB is None else scipy.linalg.eigh(Q, BtB)
+    lam[lam <= 1e-10 * lam.max()] = 0.0
+    return lam, V, (V if B is None else B @ V)
+
+
 def gibbs_gaussian(
     rng,
     state,
     *,
     X,
-    B,
-    BtB,
-    Q_B_dense,
-    Q_B,
+    B=None,
+    BtB=None,
+    Q_B_dense=None,
+    Q_B=None,
     car_k,
     Z,
     priors,
     prior_only=False,
     fixed_tau=None,
     fixed_sigma2=None,
+    spectrum=None,
 ):
     """Full-conditional Gibbs sweep for the Gaussian family.
 
-    Updates beta, effects, tau, sigma2 in order. ``B`` is the effect
-    loading (None means the identity, i.e. the traditional model), ``BtB``
-    its Gram matrix, ``Q_B``/``Q_B_dense`` the (reduced) CAR precision, and
-    ``car_k`` the tau exponent dimension. ``prior_only`` drops the data
-    terms from every conditional.
+    Updates beta, effects, tau, sigma2 in order; ``car_k`` is the tau
+    exponent dimension and ``prior_only`` drops the data terms from every
+    conditional. With Q_B V = B'B V diag(lam) and V' B'B V = I, the effects
+    y = V^{-1} delta are independent given the rest, with precision
+    h = 1/sigma2 + tau lam and mean (B V)'(Z - X beta) / (sigma2 h), and
+    delta' Q_B delta = lam . y^2, so they are drawn exactly for any tau.
+
+    ``spectrum`` is (lam, V, B V) from ``_effect_spectrum``, which ``fit``
+    computes once; ``state.effects`` then holds y. Without it the kernel
+    solves eigh(Q_B_dense, BtB) itself, ``B`` None meaning the identity
+    loading, and ``state.effects`` holds delta. ``Q_B`` is not used.
     """
+    k = state.effects.shape[0]
+    rotate = spectrum is None and k > 0
+    if rotate:
+        spectrum = _effect_spectrum(Q_B_dense, B, BtB)
+        state.effects = spectrum[1].T @ (BtB @ state.effects)  # V^{-1} = V' B'B
     Xa = X.X
     n, p = Xa.shape
     pr = priors
-    k = state.effects.shape[0]
-
-    def expanded_effects():
-        return state.effects if B is None else B @ state.effects
 
     # beta | rest
     if prior_only:
         state.beta = np.sqrt(pr.beta_variance) * rng.standard_normal(p)
     else:
         prec = Xa.T @ Xa / state.sigma2 + np.eye(p) / pr.beta_variance
-        rhs = Xa.T @ (Z - (expanded_effects() if k else 0.0)) / state.sigma2
+        rhs = Xa.T @ (Z - spectrum[2] @ state.effects if k else Z) / state.sigma2
         state.beta = _chol_mvn_from_precision(rng, prec, rhs)
 
     # effects | rest
+    if not prior_only:
+        resid = Z - Xa @ state.beta
     if k:
-        if prior_only:
-            state.effects = _chol_mvn_from_precision(
-                rng, state.tau * Q_B_dense, np.zeros(k)
+        lam, _, BV = spectrum
+        h = state.tau * lam
+        mean = 0.0
+        if not prior_only:
+            g = BV.T @ resid
+            h = h + 1.0 / state.sigma2
+            mean = g / (state.sigma2 * h)
+        if not h.min() > 0.0:
+            raise RuntimeError(
+                f"conditional precision is not positive definite "
+                f"(smallest eigenvalue {h.min():.3e})"
             )
-        else:
-            prec = BtB / state.sigma2 + state.tau * Q_B_dense
-            resid = Z - Xa @ state.beta
-            rhs = (resid if B is None else B.T @ resid) / state.sigma2
-            state.effects = _chol_mvn_from_precision(rng, prec, rhs)
+        state.effects = mean + rng.standard_normal(k) / np.sqrt(h)
 
     # tau | rest
     if car_k and fixed_tau is None:
-        quad = float(state.effects @ (Q_B @ state.effects))
-        state.tau = gibbs_tau(rng, pr, car_k, quad)
+        state.tau = gibbs_tau(rng, pr, car_k, float(lam @ state.effects**2))
 
     # sigma2 | rest
     if fixed_sigma2 is None:
@@ -369,10 +398,17 @@ def gibbs_gaussian(
             draw = max(rng.gamma(pr.sigma2_shape, 1.0 / pr.sigma2_rate), np.finfo(float).tiny)
             state.sigma2 = float(1.0 / draw)
         else:
-            resid = Z - Xa @ state.beta - (expanded_effects() if k else 0.0)
+            # (B V)'(B V) = I, so |resid - B V y|^2 splits into the part of
+            # resid outside the span of B V and |g - y|^2, with no O(nk) product
+            rss = float(resid @ resid)
+            if k:
+                d = g - state.effects
+                rss = max(rss - float(g @ g), 0.0) + float(d @ d)
             shape = pr.sigma2_shape + 0.5 * n
-            rate = pr.sigma2_rate + 0.5 * float(resid @ resid)
+            rate = pr.sigma2_rate + 0.5 * rss
             state.sigma2 = float(1.0 / rng.gamma(shape, 1.0 / rate))
+    if rotate:
+        state.effects = spectrum[1] @ state.effects
     return state
 
 
@@ -469,11 +505,6 @@ def fit(
         if basis.q != spec.q:
             raise ValueError(f"basis has q={basis.q}, model wants q={spec.q}")
         B = basis.M
-    BtB = Q_B_dense = None
-    if k and gaussian:
-        BtB = B.T @ B if B is not None else np.eye(n)
-        Q_B_dense = Q_B.toarray() if sp.issparse(Q_B) else np.asarray(Q_B, dtype=float)
-
     degrees = classes = A_csr = None
     if traditional and not gaussian:
         degrees = np.asarray(Q_B.diagonal(), dtype=float)
@@ -516,22 +547,18 @@ def fit(
                 f"(log-likelihood {ll0}, log-prior {lp0}); check data scaling"
             )
 
-    # preconditioning for the effects proposals: per-coordinate CAR
-    # precision lam per unit tau, and c the mean IRLS weight at the start
-    lam = V = None
+    # the effects run in the coordinates y = V' delta, where Q_B is diagonal
+    # (all but the site sweep); lam is the CAR precision per unit tau of each
+    # coordinate, and c the mean IRLS weight at the start
+    lam = V = spectrum = None
     c = 0.0
-    if k and not gaussian:
-        if traditional:
-            lam = degrees
-        else:
-            # run the chain in the coordinates V' delta, where Q_B is diagonal
-            lam, V = np.linalg.eigh(Q_B)
-            # rounding noise on a null direction would give it a huge scale
-            lam[lam <= 1e-10 * lam.max()] = 0.0
-            B = B @ V
-        if not prior_only:
-            mu = inverse_link(spec.family, eta)
-            c = float(np.mean(mu * (1.0 - mu) if spec.family == "bernoulli" else mu))
+    if k and traditional and not gaussian:
+        lam = degrees
+    elif k:
+        spectrum = lam, V, B = _effect_spectrum(Q_B, B)
+    if k and not gaussian and not prior_only:
+        mu = inverse_link(spec.family, eta)
+        c = float(np.mean(mu * (1.0 - mu) if spec.family == "bernoulli" else mu))
 
     loglik = None if gaussian else _loglik_core(spec, Z, prior_only)
     # log-likelihood at the current eta, kept in step with eta
@@ -579,16 +606,13 @@ def fit(
                 rng,
                 state,
                 X=X,
-                B=B,
-                BtB=BtB,
-                Q_B_dense=Q_B_dense,
-                Q_B=Q_B,
                 car_k=car_k,
                 Z=Z,
                 priors=pr,
                 prior_only=prior_only,
                 fixed_tau=fixed_tau,
                 fixed_sigma2=fixed_sigma2,
+                spectrum=spectrum,
             )
         else:
             # beta block
@@ -702,25 +726,17 @@ def fit(
     )
 
 
-def fit_chains(spec, data, basis, cfg, n_chains, **kwargs):
-    """Run independent chains concurrently with split RNG streams.
+def fit_chains(spec, data, basis, cfg, n_chains, *, streams=None, **kwargs):
+    """Run independent chains one after another with split RNG streams.
 
     Chain i is seeded from SeedSequence(cfg.seed).spawn(n_chains)[i], so the
-    set of chains is reproducible and the streams never overlap. Immutable
-    inputs are shared; each chain owns its own state.
+    set of chains is reproducible and the streams never overlap; chain i
+    writes to ``streams[i]`` when given. The driver holds the interpreter
+    lock for most of each iteration, so threads would only slow them down.
     """
-    from concurrent.futures import ThreadPoolExecutor
-
     children = np.random.SeedSequence(cfg.seed).spawn(n_chains)
-    seeds = [int(child.generate_state(1)[0]) for child in children]
-    configs = [replace(cfg, seed=s) for s in seeds]
-    streams = kwargs.pop("streams", None)
-
-    def run(i):
-        extra = dict(kwargs)
-        if streams is not None:
-            extra["stream"] = streams[i]
-        return fit(spec, data, basis, configs[i], **extra)
-
-    with ThreadPoolExecutor(max_workers=n_chains) as pool:
-        return list(pool.map(run, range(n_chains)))
+    streams = [None] * n_chains if streams is None else streams
+    return [
+        fit(spec, data, basis, replace(cfg, seed=int(c.generate_state(1)[0])), stream=s, **kwargs)
+        for c, s in zip(children, streams)
+    ]

@@ -261,8 +261,10 @@ def test_criterion_8_dimension_reduction_speed():
 
     batch(q_small, d_small, 2_000)  # warm-up
     batch(q_large, d_large, 2_000)
-    t_small = min(batch(q_small, d_small) for _ in range(5))
-    t_large = min(batch(q_large, d_large) for _ in range(5))
+    t_small = t_large = float("inf")
+    for _ in range(5):
+        t_small = min(t_small, batch(q_small, d_small))
+        t_large = min(t_large, batch(q_large, d_large))
     rel_change = abs(t_large - t_small) / t_small
     shape_small, shape_large = q_small.shape, q_large.shape
 

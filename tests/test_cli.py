@@ -417,6 +417,60 @@ def test_numerical_failure_exits_2(sim_dir, monkeypatch):
     assert code == 2
 
 
+def test_prior_only_singular_precision_exits_2(tmp_path, monkeypatch, capsys):
+    # a prior-only Gaussian rhz fit on a graph with three components: the
+    # reduced precision is singular, and the sampler's error is a numerical
+    # failure of the command
+    import sglmm.cli as cli_mod
+    from sglmm.graph import build_lattice, graph_from_edges, write_edge_list
+    from sglmm.sampler import fit
+
+    g = build_lattice(6, 6)
+    edges = [(i, j) for i, j in g.edges if (i % 6 < 3) == (j % 6 < 3) and 35 not in (i, j)]
+    write_edge_list(tmp_path / "islands.edges", graph_from_edges(36, edges))
+    x, y = g.coords.T
+    write_table(tmp_path / "data.csv", ["z", "x", "y"], {"z": np.zeros(36), "x": x, "y": y})
+    monkeypatch.setattr(
+        cli_mod, "run_mcmc", lambda *args, **kwargs: fit(*args, prior_only=True, **kwargs)
+    )
+    code = run(
+        [
+            "fit", "--model", "rhz", "--family", "gaussian",
+            "--data", tmp_path / "data.csv", "--graph", tmp_path / "islands.edges",
+            "--seed", "1", "--iterations", "100", "--burn-in", "10",
+            "--out-prefix", tmp_path / "fit",
+        ]
+    )
+    assert code == 2
+    assert "not positive definite" in capsys.readouterr().err
+
+
+def test_chain_writer_bytes_match_csv_writer(tmp_path):
+    # the reference is csv.writer over f"{v:.17g}" cells of numpy scalars
+    import csv
+
+    from sglmm.cli import _ChainWriter
+
+    rng = np.random.default_rng(0)
+    rows = rng.standard_normal((300, 403)) * np.logspace(-300, 300, 403)
+    rows[0, :6] = [np.inf, -np.inf, -0.0, 0.0, 5e-324, -np.finfo(float).tiny / 3]
+    rows[1, :3] = [1 / 3, 1e16, np.nan]
+    names = [f"c.{i}" for i in range(403)]
+
+    writer = _ChainWriter(tmp_path / "new.csv")
+    try:
+        for row in rows:
+            writer(names, row)
+    finally:
+        writer.close()
+    with open(tmp_path / "old.csv", "w", newline="") as fh:
+        old = csv.writer(fh)
+        old.writerow(names)
+        for row in rows:
+            old.writerow([f"{v:.17g}" for v in row])
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
 def test_reproduce_emits_report(tmp_path):
     out_dir = tmp_path / "study"
     code = run(

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from sglmm.basis import DesignMatrix, moran_basis, rhz_basis
 from sglmm.glm import irls_fit
@@ -7,6 +8,7 @@ from sglmm.graph import build_lattice, graph_from_edges, laplacian
 from sglmm.model import Dataset, ModelSpec, ParameterState, PriorSet
 from sglmm.sampler import (
     McmcConfig,
+    _effect_spectrum,
     color_classes,
     conditional_scale,
     fit,
@@ -276,6 +278,142 @@ def test_gibbs_gaussian_conjugate_posterior_mean():
     for j in range(7):
         se = mcse(draws[:, j])
         assert abs(draws[:, j].mean() - mean_true[j]) < 3 * se
+
+
+class _NoNoise:
+    """Generator stand-in whose normal draws are 0, so a sweep returns the
+    conditional means; its gamma draws are 1 and record their arguments."""
+
+    def __init__(self):
+        self.gamma_args = []
+
+    def standard_normal(self, size):
+        return np.zeros(size)
+
+    def gamma(self, shape, scale):
+        self.gamma_args.append((shape, scale))
+        return 1.0
+
+
+def _islands_20x20():
+    # the 20x20 lattice cut into two 10x20 halves, plus the isolated vertex 399
+    g = build_lattice(20, 20)
+    edges = [
+        (i, j) for i, j in g.edges if (i % 20 < 10) == (j % 20 < 10) and 399 not in (i, j)
+    ]
+    return graph_from_edges(400, edges, coords=g.coords)
+
+
+@pytest.fixture(scope="module")
+def gaussian_400():
+    # (B, Q_B) per parameterization at n = 400; B None is the identity
+    g = build_lattice(20, 20)
+    X = lattice_design(g)
+    Z = X.X @ np.array([1.0, -0.5]) + np.random.default_rng(40).standard_normal(400)
+    rb = rhz_basis(X, g)
+    mb = moran_basis(X, g, q=50)
+    cases = {
+        "traditional": (None, laplacian(g).Q.toarray()),
+        "rhz": (rb.L, rb.Q_R),
+        "sparse": (mb.M, mb.Q_S),
+    }
+    return X, Z, cases
+
+
+@pytest.mark.parametrize("model", ["traditional", "rhz", "sparse"])
+def test_gibbs_gaussian_conditionals_match_dense_solve(gaussian_400, model):
+    X, Z, cases = gaussian_400
+    B, Q_B = cases[model]
+    k = Q_B.shape[0]
+    loading = np.eye(400) if B is None else B
+    BtB = loading.T @ loading
+    tau, s2 = 2.0, 0.5
+    start = np.random.default_rng(41).standard_normal(k)
+    prec = BtB / s2 + tau * Q_B
+    kw = dict(X=X, car_k=k, Z=Z, priors=PriorSet(), fixed_tau=tau)
+
+    # without a spectrum the kernel factorizes eigh(Q_B_dense, BtB) itself
+    rng = _NoNoise()
+    state = ParameterState(beta=np.zeros(2), effects=start.copy(), tau=tau, sigma2=s2)
+    gibbs_gaussian(rng, state, B=B, BtB=BtB, Q_B_dense=Q_B, Q_B=Q_B, **kw)
+    rhs = loading.T @ (Z - X.X @ state.beta) / s2
+    expected = scipy.linalg.cho_solve(scipy.linalg.cho_factor(prec), rhs)
+    assert np.allclose(state.effects, expected)
+    # sigma2 | rest has rate sigma2_rate + |Z - X beta - B delta|^2 / 2
+    rss = np.sum((Z - X.X @ state.beta - loading @ state.effects) ** 2)
+    (_, scale), = rng.gamma_args
+    assert np.isclose(1.0 / scale, PriorSet().sigma2_rate + 0.5 * rss)
+
+    # with the spectrum fit computes once, effects in the rotated coordinates
+    spectrum = _effect_spectrum(Q_B, B)
+    V = spectrum[1]
+    beta = state.beta
+    state = ParameterState(beta=np.zeros(2), effects=V.T @ start, tau=tau, sigma2=s2)
+    gibbs_gaussian(_NoNoise(), state, spectrum=spectrum, fixed_sigma2=s2, **kw)
+    assert np.allclose(state.beta, beta)
+    assert np.allclose(V @ state.effects, expected)
+
+
+@pytest.mark.parametrize("model", ["traditional", "rhz", "sparse"])
+def test_gibbs_gaussian_effects_covariance_matches_inverse_precision(gaussian_400, model):
+    # every sweep starts from the same state; an effects draw minus its
+    # conditional mean given the beta drawn before it is N(0, prec^{-1})
+    X, Z, cases = gaussian_400
+    B, Q_B = cases[model]
+    k = Q_B.shape[0]
+    loading = np.eye(400) if B is None else B
+    tau, s2 = 2.0, 0.5
+    spectrum = _effect_spectrum(Q_B, B)
+    V = spectrum[1]
+    rng = np.random.default_rng(42)
+    n_draws = 4_000
+    betas = np.empty((n_draws, 2))
+    deltas = np.empty((n_draws, k))
+    for i in range(n_draws):
+        state = ParameterState(beta=np.zeros(2), effects=np.zeros(k), tau=tau, sigma2=s2)
+        gibbs_gaussian(
+            rng, state, X=X, car_k=k, Z=Z, priors=PriorSet(),
+            fixed_tau=tau, fixed_sigma2=s2, spectrum=spectrum,
+        )
+        betas[i] = state.beta
+        deltas[i] = V @ state.effects
+
+    prec = loading.T @ loading / s2 + tau * Q_B
+    cho = scipy.linalg.cho_factor(prec)
+    means = scipy.linalg.cho_solve(cho, loading.T @ (Z[:, None] - X.X @ betas.T) / s2).T
+    e = deltas - means
+    cov = scipy.linalg.cho_solve(cho, np.eye(k))
+    _, W = np.linalg.eigh(Q_B)
+    for u in (np.eye(k)[0], W[:, 0], W[:, -1]):  # a site, least and most smoothed
+        sq = (e @ u) ** 2
+        assert abs(sq.mean() - u @ cov @ u) < 3 * mcse(sq)
+    whitened = np.sum(e * (e @ prec), axis=1)  # chi-square, k degrees of freedom
+    assert abs(whitened.mean() - k) < 3 * mcse(whitened)
+
+
+def test_traditional_gaussian_fit_finite_on_graph_with_islands():
+    # Q has a null direction per component: three zero eigenvalues
+    g = _islands_20x20()
+    assert g.n_components() == 3
+    X = lattice_design(g)
+    Z = X.X @ np.array([1.0, -1.0]) + np.random.default_rng(43).standard_normal(400)
+    cfg = McmcConfig(iterations=2_000, burn_in=500, thin=5, seed=44)
+    chain = fit(ModelSpec("gaussian", "traditional"), Dataset(X=X, Z=Z), laplacian(g), cfg)
+    assert np.all(np.isfinite(chain.matrix()))
+    assert np.all(chain.draws["tau"] > 0)
+    assert np.all(chain.draws["sigma2"] > 0)
+
+
+def test_prior_only_gaussian_fit_with_singular_precision_raises():
+    # three components against two design columns: span(X)-perp holds a
+    # combination of component indicators, a null direction of Q_R
+    g = _islands_20x20()
+    X = lattice_design(g)
+    rb = rhz_basis(X, g)
+    cfg = McmcConfig(iterations=100, burn_in=10, seed=45)
+    with pytest.raises(RuntimeError, match="not positive definite"):
+        fit(ModelSpec("gaussian", "rhz"), Dataset(X=X, Z=np.zeros(400)), rb, cfg,
+            prior_only=True)
 
 
 def test_fit_deterministic_under_fixed_seed():
