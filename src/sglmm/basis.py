@@ -260,7 +260,11 @@ def _leading_eigpairs(X, g: Graph, k: int) -> tuple[np.ndarray, np.ndarray]:
         return w - U @ (U.T @ w)
 
     op = sp.linalg.LinearOperator((n, n), matvec=matvec, dtype=float)
-    vals, vecs = sp.linalg.eigsh(op, k=k, which="LA", tol=1e-9)
+    # ARPACK's default start vector is random, so a seeded fit would not
+    # reproduce; a fixed Gaussian vector has a component outside span(X)
+    # (the ones vector has none when X holds an intercept)
+    v0 = np.random.default_rng(0).standard_normal(n)
+    vals, vecs = sp.linalg.eigsh(op, k=k, which="LA", tol=1e-9, v0=v0)
     order = np.argsort(vals)[::-1]
     return _snap_zeros(vals[order]), vecs[:, order]
 

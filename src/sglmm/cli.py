@@ -353,6 +353,8 @@ def _chain_summary_doc(chain: Chain, level: float) -> dict:
 
 
 def _cmd_fit(args, argv):
+    if args.chains < 1:
+        raise ValueError(f"--chains must be at least 1, got {args.chains}")
     settings = {}
     if args.config:
         settings.update(read_config(args.config, CONFIG_KEYS))
@@ -672,7 +674,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--burn-in", type=int, dest="burn_in")
     p.add_argument("--thin", type=int)
     p.add_argument("--seed", type=int)
-    p.add_argument("--chains", type=int, default=1)
+    p.add_argument(
+        "--chains", type=int, default=1,
+        help="independent chains, run in parallel worker processes, one per usable CPU",
+    )
     p.add_argument("--level", type=float, default=0.95)
     p.add_argument("--out-prefix", required=True)
     p.set_defaults(func=_cmd_fit)

@@ -286,6 +286,14 @@ def test_moran_basis_iterative_path_large_graph():
         )
 
 
+def test_moran_basis_iterative_path_reproducible():
+    # n = 2601 > 2500 takes the iterative solver, whose default start vector
+    # is random; two builds on the same input must agree bit for bit
+    g = build_lattice(51, 51)
+    X = lattice_design(g)
+    assert moran_basis(X, g, q=5).M.tobytes() == moran_basis(X, g, q=5).M.tobytes()
+
+
 def test_moran_basis_threshold_on_large_graph():
     g = build_lattice(60, 60)
     X = lattice_design(g)

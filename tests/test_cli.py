@@ -1,4 +1,5 @@
 import json
+import os
 
 import numpy as np
 import pytest
@@ -303,6 +304,23 @@ def test_fit_multiple_chains(sim_dir, tmp_path):
     assert not np.array_equal(c0["tau"], c1["tau"])
 
 
+def test_fit_chains_in_workers_write_serial_bytes(sim_dir, tmp_path, monkeypatch):
+    # one usable CPU runs the chains one after another in this process, two
+    # run them in worker processes; the chain files must not differ
+    args = [
+        "fit", "--model", "sparse", "--family", "bernoulli", "--q", "4",
+        "--data", sim_dir / "toy_data.csv", "--graph", sim_dir / "toy_graph.edges",
+        "--seed", "9", "--iterations", "1500", "--burn-in", "300", "--thin", "3",
+        "--chains", "2",
+    ]
+    for name, cpus in (("serial", {0}), ("workers", {0, 1})):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus, raising=False)
+        assert run(args + ["--out-prefix", tmp_path / name]) == 0
+    for i in range(2):
+        serial = (tmp_path / f"serial_chain_{i}.csv").read_bytes()
+        assert serial == (tmp_path / f"workers_chain_{i}.csv").read_bytes()
+
+
 def test_fit_with_config_file(sim_dir, tmp_path):
     cfg = tmp_path / "model.cfg"
     cfg.write_text(
@@ -417,30 +435,48 @@ def test_numerical_failure_exits_2(sim_dir, monkeypatch):
     assert code == 2
 
 
-def test_prior_only_singular_precision_exits_2(tmp_path, monkeypatch, capsys):
-    # a prior-only Gaussian rhz fit on a graph with three components: the
-    # reduced precision is singular, and the sampler's error is a numerical
-    # failure of the command
-    import sglmm.cli as cli_mod
+def _islands_6x6(tmp_path):
+    # a graph with three components, written with a zero response: a
+    # prior-only Gaussian rhz fit on it has a singular reduced precision
     from sglmm.graph import build_lattice, graph_from_edges, write_edge_list
-    from sglmm.sampler import fit
 
     g = build_lattice(6, 6)
     edges = [(i, j) for i, j in g.edges if (i % 6 < 3) == (j % 6 < 3) and 35 not in (i, j)]
     write_edge_list(tmp_path / "islands.edges", graph_from_edges(36, edges))
     x, y = g.coords.T
     write_table(tmp_path / "data.csv", ["z", "x", "y"], {"z": np.zeros(36), "x": x, "y": y})
+    return [
+        "fit", "--model", "rhz", "--family", "gaussian",
+        "--data", tmp_path / "data.csv", "--graph", tmp_path / "islands.edges",
+        "--seed", "1", "--iterations", "100", "--burn-in", "10",
+        "--out-prefix", tmp_path / "fit",
+    ]
+
+
+def test_prior_only_singular_precision_exits_2(tmp_path, monkeypatch, capsys):
+    # the sampler's error is a numerical failure of the command
+    import sglmm.cli as cli_mod
+    from sglmm.sampler import fit
+
     monkeypatch.setattr(
         cli_mod, "run_mcmc", lambda *args, **kwargs: fit(*args, prior_only=True, **kwargs)
     )
-    code = run(
-        [
-            "fit", "--model", "rhz", "--family", "gaussian",
-            "--data", tmp_path / "data.csv", "--graph", tmp_path / "islands.edges",
-            "--seed", "1", "--iterations", "100", "--burn-in", "10",
-            "--out-prefix", tmp_path / "fit",
-        ]
+    code = run(_islands_6x6(tmp_path))
+    assert code == 2
+    assert "not positive definite" in capsys.readouterr().err
+
+
+def test_prior_only_singular_precision_in_workers_exits_2(tmp_path, monkeypatch, capsys):
+    # the chains run in worker processes, and sampler.fit is a closure there,
+    # as under a tracer: the workers' error still reaches the command
+    import sglmm.sampler as sampler
+
+    fit = sampler.fit
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(
+        sampler, "fit", lambda *args, **kwargs: fit(*args, prior_only=True, **kwargs)
     )
+    code = run(_islands_6x6(tmp_path) + ["--chains", "2"])
     assert code == 2
     assert "not positive definite" in capsys.readouterr().err
 
@@ -504,3 +540,13 @@ def test_fit_validation_errors(sim_dir, tmp_path):
         ]
     )
     assert code == 1
+    # no chains, or a negative count
+    for chains in ("0", "-1"):
+        code = run(
+            [
+                "fit", "--model", "sparse", "--family", "bernoulli", "--q", "4",
+                "--data", sim_dir / "toy_data.csv", "--graph", sim_dir / "toy_graph.edges",
+                "--seed", "1", "--chains", chains, "--out-prefix", tmp_path / "x",
+            ]
+        )
+        assert code == 1

@@ -1,3 +1,7 @@
+import multiprocessing
+import os
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -566,6 +570,55 @@ def test_fit_chains_split_streams():
     again = fit_chains(spec, Dataset(X=sim.X, Z=sim.Z), sim.basis, cfg, 3)
     for c1, c2 in zip(chains, again):
         assert np.array_equal(c1.draws["beta"], c2.draws["beta"])
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    # fit_chains starts one worker per usable CPU; two make it run the
+    # worker pool on any host that can fork
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+
+def test_fit_chains_in_workers_match_serial_fits(two_cpus):
+    # three chains on two workers
+    sim = simulate_dataset(seed=29, rows=5, cols=5, q=4, tau=1.0, family="bernoulli")
+    spec = ModelSpec("bernoulli", "sparse", q=4)
+    data = Dataset(X=sim.X, Z=sim.Z)
+    cfg = McmcConfig(iterations=2_000, burn_in=500, thin=3, seed=30)
+    chains = fit_chains(spec, data, sim.basis, cfg, 3)
+    assert multiprocessing.active_children() == []
+    children = np.random.SeedSequence(cfg.seed).spawn(3)
+    for chain, child in zip(chains, children):
+        alone = fit(spec, data, sim.basis, replace(cfg, seed=int(child.generate_state(1)[0])))
+        assert chain.seed == alone.seed
+        assert chain.names == alone.names
+        assert chain.matrix().tobytes() == alone.matrix().tobytes()
+        assert chain.acceptance_rates == alone.acceptance_rates
+        assert chain.step_sizes == alone.step_sizes
+
+
+def test_fit_chains_streams_every_row_in_calling_process(two_cpus):
+    # the streams append to lists of this process, which a worker could not
+    sim = simulate_dataset(seed=31, rows=5, cols=5, q=4, tau=1.0, family="bernoulli")
+    spec = ModelSpec("bernoulli", "sparse", q=4)
+    cfg = McmcConfig(iterations=2_000, burn_in=500, thin=5, seed=33)
+    rows = [[], []]
+    streams = [lambda names, row, out=out: out.append((names, row.copy())) for out in rows]
+    chains = fit_chains(spec, Dataset(X=sim.X, Z=sim.Z), sim.basis, cfg, 2, streams=streams)
+    for chain, out in zip(chains, rows):
+        assert len(out) == chain.n_draws
+        assert all(names == chain.names for names, _ in out)
+        assert np.array_equal(np.array([row for _, row in out]), chain.matrix())
+
+
+def test_fit_chains_raises_worker_failure(two_cpus):
+    g = _islands_20x20()
+    X = lattice_design(g)
+    cfg = McmcConfig(iterations=100, burn_in=10, seed=45)
+    with pytest.raises(RuntimeError, match="not positive definite"):
+        fit_chains(ModelSpec("gaussian", "rhz"), Dataset(X=X, Z=np.zeros(400)),
+                   rhz_basis(X, g), cfg, 2, prior_only=True)
+    assert multiprocessing.active_children() == []
 
 
 def test_stream_receives_every_retained_draw():
