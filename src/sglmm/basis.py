@@ -45,8 +45,9 @@ __all__ = [
     "moran_I",
 ]
 
-# Full symmetric eigendecomposition below this size; iterative leading-pair
-# solver above it.
+# Full symmetric eigendecomposition up to this size. Above it, shift-invert
+# Lanczos with a completeness check finds the leading pairs (see
+# ``_leading_eigpairs``).
 _DENSE_EIG_LIMIT = 2500
 
 _RANK_RTOL = 1e-10
@@ -242,7 +243,18 @@ def moran_eigensystem(X, g: Graph) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _leading_eigpairs(X, g: Graph, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """k largest eigenpairs of the Moran operator, descending."""
+    """k largest eigenpairs of the Moran operator P A P, descending.
+
+    Up to ``_DENSE_EIG_LIMIT`` vertices (or for k >= n - 1) this slices a full
+    ``eigh``. Above it, shift-invert Lanczos (Ericsson & Ruhe 1980) runs on
+    (P A P - sigma)^{-1} over span(X)-perp, with sigma just above the
+    spectrum. One sparse LU of the bordered matrix [[A - sigma I, U], [U', 0]],
+    U an orthonormal basis of span(X), applies that inverse. Single-vector
+    Lanczos can return fewer copies of a repeated eigenvalue than it has, so a
+    check deflated by the pairs found looks for a pair above the smallest one
+    kept, swaps it in, and repeats until none is found. All start vectors are
+    fixed, so the result is reproducible.
+    """
     Xa = _as_array(X)
     n = Xa.shape[0]
     if n <= _DENSE_EIG_LIMIT or k >= n - 1:
@@ -250,23 +262,64 @@ def _leading_eigpairs(X, g: Graph, k: int) -> tuple[np.ndarray, np.ndarray]:
         vals, vecs = np.linalg.eigh(op)
         order = np.argsort(vals)[::-1]
         return _snap_zeros(vals[order][:k]), vecs[:, order][:, :k]
-    # Iterative path for large graphs: apply P-perp A P-perp as an operator.
     U = _orthonormal_range(Xa)
     A = g.adjacency().astype(float)
 
-    def matvec(v):
-        w = v - U @ (U.T @ v)
-        w = A @ w
-        return w - U @ (U.T @ w)
+    def project(v):
+        return v - U @ (U.T @ v)
 
-    op = sp.linalg.LinearOperator((n, n), matvec=matvec, dtype=float)
+    op = sp.linalg.LinearOperator((n, n), matvec=lambda v: project(A @ project(v)), dtype=float)
     # ARPACK's default start vector is random, so a seeded fit would not
-    # reproduce; a fixed Gaussian vector has a component outside span(X)
+    # reproduce; fixed Gaussian vectors have components outside span(X)
     # (the ones vector has none when X holds an intercept)
-    v0 = np.random.default_rng(0).standard_normal(n)
-    vals, vecs = sp.linalg.eigsh(op, k=k, which="LA", tol=1e-9, v0=v0)
+    rng = np.random.default_rng(0)
+    v0 = project(rng.standard_normal(n))
+    lmax = sp.linalg.eigsh(op, k=1, which="LA", tol=1e-4, v0=v0, return_eigenvectors=False)[0]
+    # above the whole spectrum, so the bordered matrix is nonsingular on
+    # every graph, islands and isolated vertices included
+    sigma = lmax + 1e-2 * max(abs(lmax), 1.0)
+    border = sp.csc_array(U)
+    lu = sp.linalg.splu(
+        sp.block_array([[A - sigma * sp.eye_array(n), border], [border.T, None]], format="csc")
+    )
+    rhs = np.zeros(n + U.shape[1])
+
+    def solve(v):
+        # the first n entries of K^{-1} [P v; 0] are (P A P - sigma)^{-1} P v
+        rhs[:n] = project(v)
+        return lu.solve(rhs)[:n]
+
+    inverse = sp.linalg.LinearOperator((n, n), matvec=solve, dtype=float)
+    vals, vecs = sp.linalg.eigsh(
+        op, k=k, sigma=sigma, which="LM", OPinv=inverse, tol=1e-9, v0=v0
+    )
     order = np.argsort(vals)[::-1]
-    return _snap_zeros(vals[order]), vecs[:, order]
+    vals, vecs = vals[order], vecs[:, order]
+
+    def deflate(v):
+        return v - vecs @ (vecs.T @ v)
+
+    deflated = sp.linalg.LinearOperator(
+        (n, n), matvec=lambda v: deflate(solve(deflate(v))), dtype=float
+    )
+    margin = 1e-8 * max(abs(vals[0]), 1.0)
+    while True:
+        # a new start vector each round: a vector already used has almost no
+        # component along a copy its own Krylov space missed
+        w0 = deflate(project(rng.standard_normal(n)))
+        theta, y = sp.linalg.eigsh(deflated, k=1, which="LM", tol=1e-9, v0=w0)
+        # theta = 1 / (lam - sigma) is negative, and larger in size the
+        # closer lam is to sigma. Compared as theta, a theta ~ 0 (no pair
+        # left) never passes; the margin keeps further copies of the
+        # smallest kept eigenvalue from being swapped in.
+        if not theta[0] < 1.0 / (vals[-1] + margin - sigma):
+            break
+        y = deflate(y[:, 0])
+        vals = np.append(vals[:-1], sigma + 1.0 / theta[0])
+        vecs = np.column_stack([vecs[:, :-1], y / np.linalg.norm(y)])
+        order = np.argsort(vals)[::-1]
+        vals, vecs = vals[order], vecs[:, order]
+    return _snap_zeros(vals), vecs
 
 
 def moran_basis(
@@ -320,19 +373,13 @@ def moran_basis(
             raise ValueError(f"q must be >= 1, got {q}")
         if eigensystem is not None:
             vals_k, vecs_k = eigensystem
-            k = vals_k.shape[0]
         else:
-            # Positivity bound needs sight of the spectrum just past q.
-            k = min(n, q + 1)
-            vals_k, vecs_k = _leading_eigpairs(Xa, g, k)
+            vals_k, vecs_k = _leading_eigpairs(Xa, g, min(n, q))
+        k = vals_k.shape[0]
         if q > k:
             raise ValueError(f"q={q} exceeds the {k} available eigenpairs")
         n_positive = int(np.sum(vals_k[:q] > 0))
         if n_positive < q:
-            if eigensystem is None and n_positive == k - 1 and k < n:
-                # all computed were positive except the probe; count fully
-                all_vals, _ = _leading_eigpairs(Xa, g, n)
-                n_positive = int(np.sum(all_vals > 0))
             raise ValueError(
                 f"q={q} exceeds the number of positive Moran eigenvalues "
                 f"({n_positive})"

@@ -81,6 +81,7 @@ def test_criterion_3_basis_dimensions():
     )
 
 
+@pytest.mark.slow
 def test_criterion_4_conjugate_oracle_equivalence():
     t0 = time.time()
     sim = sglmm.simulate_dataset(
@@ -121,6 +122,7 @@ def test_criterion_4_conjugate_oracle_equivalence():
     )
 
 
+@pytest.mark.slow
 def test_criterion_5_prior_recovery():
     g = sglmm.build_lattice(8, 8)
     X = sglmm.lattice_design(g)
@@ -152,6 +154,7 @@ def test_criterion_5_prior_recovery():
     report(5, ok, "; ".join(details))
 
 
+@pytest.mark.slow
 def test_criterion_6_regression_coverage_study():
     t0 = time.time()
     g = sglmm.build_lattice(20, 20)
@@ -190,6 +193,7 @@ def test_criterion_6_regression_coverage_study():
     )
 
 
+@pytest.mark.slow
 def test_criterion_7_confounding_signature():
     # spatial confounding inflates the traditional CAR model's posterior
     # for beta_1, and the sparse Moran-basis model removes it: on the same
@@ -222,6 +226,7 @@ def test_criterion_7_confounding_signature():
     )
 
 
+@pytest.mark.slow
 def test_criterion_8_dimension_reduction_speed():
     sim = sglmm.simulate_dataset("binary", seed=42)
     data = Dataset(X=sim.X, Z=sim.Z)

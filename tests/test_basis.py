@@ -303,3 +303,43 @@ def test_moran_basis_threshold_on_large_graph():
     # the next eigenvalue down must fall at or below the threshold
     wider = moran_basis(X, g, q=mb.q + 5)
     assert wider.standardized_eigenvalues[mb.q] <= 0.98
+
+
+def _two_islands_and_isolated_vertex() -> tuple:
+    # two 36x36 lattices side by side and one vertex with no edges (n = 2593);
+    # the two islands double every eigenvalue of the adjacency
+    lat = build_lattice(36, 36)
+    edges = list(lat.edges) + [(i + 1296, j + 1296) for i, j in lat.edges]
+    coords = np.vstack([lat.coords, lat.coords + [2.0, 0.0], [[4.0, 0.5]]])
+    return graph_from_edges(2593, edges, coords=coords), coords
+
+
+def _repeated_eigenvalue_case(name):
+    if name == "lattice-60x60":
+        g = build_lattice(60, 60)
+        return g, lattice_design(g).X, 11
+    g, coords = _two_islands_and_isolated_vertex()
+    if name == "islands-random-design":
+        return g, np.random.default_rng(0).standard_normal((g.n, 2)), 10
+    return g, coords, 50
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize(
+    "case", ["lattice-60x60", "islands-random-design", "islands-coordinate-design"]
+)
+def test_moran_basis_iterative_path_keeps_every_copy_of_repeated_eigenvalues(case):
+    # Above n = 2500 the leading pairs come from Lanczos, which can return
+    # one copy too few of a repeated eigenvalue (the 60x60 lattice has a
+    # double eigenvalue at q = 11; the islands double every eigenvalue). The
+    # kept eigenvalues must be the top q of the dense spectrum.
+    g, X, q = _repeated_eigenvalue_case(case)
+    mb = moran_basis(X, g, q=q)
+    full, _ = moran_spectrum(X, g)
+    assert np.abs(mb.eigenvalues - full[:q]).max() < 1e-10
+    assert np.abs(mb.M.T @ mb.M - np.eye(q)).max() < 1e-8
+    assert np.abs(X.T @ mb.M).max() < 1e-8
+    U, _ = np.linalg.qr(X)
+    AM = g.adjacency().astype(float) @ mb.M  # M = P M, as X'M = 0
+    resid = np.linalg.norm(AM - U @ (U.T @ AM) - mb.M * mb.eigenvalues, axis=0)
+    assert resid.max() < 1e-8

@@ -255,6 +255,45 @@ def test_fit_reruns_identically_from_same_seed(sim_dir, tmp_path):
     assert (tmp_path / "a_chain.csv").read_text() == (tmp_path / "b_chain.csv").read_text()
 
 
+def _large_graph_fit(tmp_path, g, X, q):
+    # n > 2500 takes the iterative Moran eigensolver; a short sparse fit
+    from sglmm.graph import write_edge_list
+
+    write_edge_list(tmp_path / "large.edges", g)
+    z = (np.random.default_rng(4).random(g.n) < 0.5).astype(float)
+    write_table(tmp_path / "large.csv", ["z", "x", "y"], {"z": z, "x": X[:, 0], "y": X[:, 1]})
+    return [
+        "fit", "--model", "sparse", "--family", "bernoulli", "--q", q,
+        "--data", tmp_path / "large.csv", "--graph", tmp_path / "large.edges",
+        "--seed", "13", "--iterations", "300", "--burn-in", "100", "--thin", "2",
+    ]
+
+
+def test_fit_above_dense_limit_reruns_identically(tmp_path):
+    from sglmm.graph import build_lattice
+
+    g = build_lattice(51, 51)
+    args = _large_graph_fit(tmp_path, g, g.coords, 5)
+    assert run(args + ["--out-prefix", tmp_path / "a"]) == 0
+    assert run(args + ["--out-prefix", tmp_path / "b"]) == 0
+    assert (tmp_path / "a_chain.csv").read_bytes() == (tmp_path / "b_chain.csv").read_bytes()
+
+
+def test_fit_above_dense_limit_counts_positive_eigenvalues(tmp_path, capsys):
+    # three edges on 2600 vertices: the Moran operator has two positive
+    # eigenvalues and about 2596 zero ones
+    from sglmm.graph import graph_from_edges
+
+    g = graph_from_edges(2600, [(0, 1), (1, 2), (5, 6)])
+    X = np.random.default_rng(8).standard_normal((g.n, 2))
+    args = _large_graph_fit(tmp_path, g, X, 3)
+    assert run(args + ["--out-prefix", tmp_path / "q3"]) == 1
+    assert "q=3 exceeds the number of positive Moran eigenvalues (2)" in capsys.readouterr().err
+    args[args.index("--q") + 1] = 2
+    assert run(args + ["--out-prefix", tmp_path / "q2"]) == 0
+    assert (tmp_path / "q2_chain.csv").exists()
+
+
 def test_fit_nonspatial_uses_irls(sim_dir):
     prefix = sim_dir / "fit_glm"
     code = run(
