@@ -13,8 +13,10 @@ Every loading B has orthonormal columns (B = I for the traditional model).
 Except in the site sweep, the CAR precision is diagonalized once per chain,
 Q_B = V diag(lam) V', and the chain runs in the coordinates y = V' delta
 with loading B V; retained draws are rotated back. There the Gaussian
-effects conditional is diagonal for every tau and sigma2, so a Gibbs sweep
-draws it exactly with two O(nk) products and no factorization. Random-walk
+effects conditional is diagonal for every tau and sigma2. With the data
+terms X'Z, X'(B V), (B V)'Z and the eigendecomposition of X'X computed once
+per chain (O(npk)), a Gaussian Gibbs sweep draws every block exactly in
+O(np + pk) and factorizes nothing. Random-walk
 proposals are scaled by the approximate conditional standard deviation
 given tau: s / sqrt(c + tau lam_j) per coordinate, and s / sqrt(c + tau d_i)
 for site i of degree d_i, with c the mean IRLS weight at the start (0 for
@@ -294,25 +296,6 @@ def gibbs_tau(rng, priors, k, quad):
     return float(rng.gamma(shape, 1.0 / rate))
 
 
-def _chol_mvn_from_precision(rng, precision, rhs):
-    """Draw from N(P^{-1} rhs, P^{-1}) given the precision P = L L'.
-
-    The draw is L'^{-1} (L^{-1} rhs + z) with z standard normal. numpy's
-    solvers, not scipy's wrappers: at p = 2 the argument checking of three
-    scipy calls cost twice the arithmetic.
-    """
-    try:
-        L = np.linalg.cholesky(precision)
-    except np.linalg.LinAlgError as exc:
-        cond = float(np.linalg.cond(precision))
-        raise RuntimeError(
-            f"conditional precision is not positive definite "
-            f"(condition number ~ {cond:.3e})"
-        ) from exc
-    z = rng.standard_normal(precision.shape[0])
-    return np.linalg.solve(L.T, np.linalg.solve(L, rhs) + z)
-
-
 def _effect_spectrum(Q_B, B, BtB=None):
     """(lam, V, B V) with Q_B V = BtB V diag(lam) and V' BtB V = I.
 
@@ -324,6 +307,19 @@ def _effect_spectrum(Q_B, B, BtB=None):
     lam, V = np.linalg.eigh(Q) if BtB is None else scipy.linalg.eigh(Q, BtB)
     lam[lam <= 1e-10 * lam.max()] = 0.0
     return lam, V, (V if B is None else B @ V)
+
+
+def _gaussian_cache(Xa, Z, spectrum=None):
+    """(spectrum, e, U, X'Z, C, (B V)'Z): what every Gaussian sweep reuses.
+
+    ``spectrum`` is (lam, V, B V) from ``_effect_spectrum``, None when there
+    are no effects (k = 0). X'X = U diag(e) U' and C = X'(B V); none of them
+    changes during a chain. Only negative rounding of e is clamped: X has
+    full column rank, so a tiny eigenvalue of X'X is data, not noise.
+    """
+    BV = np.zeros((Xa.shape[0], 0)) if spectrum is None else spectrum[2]
+    e, U = np.linalg.eigh(Xa.T @ Xa)
+    return spectrum, np.maximum(e, 0.0), U, Xa.T @ Z, Xa.T @ BV, BV.T @ Z
 
 
 def gibbs_gaussian(
@@ -341,7 +337,7 @@ def gibbs_gaussian(
     prior_only=False,
     fixed_tau=None,
     fixed_sigma2=None,
-    spectrum=None,
+    cache=None,
 ):
     """Full-conditional Gibbs sweep for the Gaussian family.
 
@@ -349,19 +345,26 @@ def gibbs_gaussian(
     exponent dimension and ``prior_only`` drops the data terms from every
     conditional. With Q_B V = B'B V diag(lam) and V' B'B V = I, the effects
     y = V^{-1} delta are independent given the rest, with precision
-    h = 1/sigma2 + tau lam and mean (B V)'(Z - X beta) / (sigma2 h), and
-    delta' Q_B delta = lam . y^2, so they are drawn exactly for any tau.
+    h = 1/sigma2 + tau lam and mean g / (sigma2 h), g = (B V)'(Z - X beta),
+    and delta' Q_B delta = lam . y^2. With X'X = U diag(e) U', beta's
+    precision is U diag(e/sigma2 + 1/v) U'. So every block is drawn exactly.
 
-    ``spectrum`` is (lam, V, B V) from ``_effect_spectrum``, which ``fit``
-    computes once; ``state.effects`` then holds y. Without it the kernel
-    solves eigh(Q_B_dense, BtB) itself, ``B`` None meaning the identity
-    loading, and ``state.effects`` holds delta. ``Q_B`` is not used.
+    ``cache`` is ``_gaussian_cache(X.X, Z, spectrum)`` with the spectrum
+    (lam, V, B V) of ``_effect_spectrum``; ``fit`` computes it once per chain
+    and ``state.effects`` then holds y. beta's right-hand side is
+    (X'Z - C y)/sigma2 and g = (B V)'Z - C' beta, so a sweep costs
+    O(np + pk). Without a cache the kernel solves eigh(Q_B_dense, BtB) and
+    builds the cache itself, ``B`` None meaning the identity loading, and
+    ``state.effects`` holds delta. ``Q_B`` is not used.
     """
     k = state.effects.shape[0]
-    rotate = spectrum is None and k > 0
-    if rotate:
-        spectrum = _effect_spectrum(Q_B_dense, B, BtB)
-        state.effects = spectrum[1].T @ (BtB @ state.effects)  # V^{-1} = V' B'B
+    rotate = cache is None and k > 0
+    if cache is None:
+        spectrum = _effect_spectrum(Q_B_dense, B, BtB) if k else None
+        if rotate:
+            state.effects = spectrum[1].T @ (BtB @ state.effects)  # V^{-1} = V' B'B
+        cache = _gaussian_cache(X.X, Z, spectrum)
+    spectrum, e, U, XtZ, C, BtZ = cache
     Xa = X.X
     n, p = Xa.shape
     pr = priors
@@ -370,19 +373,17 @@ def gibbs_gaussian(
     if prior_only:
         state.beta = np.sqrt(pr.beta_variance) * rng.standard_normal(p)
     else:
-        prec = Xa.T @ Xa / state.sigma2 + np.eye(p) / pr.beta_variance
-        rhs = Xa.T @ (Z - spectrum[2] @ state.effects if k else Z) / state.sigma2
-        state.beta = _chol_mvn_from_precision(rng, prec, rhs)
+        d = e / state.sigma2 + 1.0 / pr.beta_variance
+        rhs = (XtZ - C @ state.effects) / state.sigma2
+        state.beta = U @ ((U.T @ rhs) / d + rng.standard_normal(p) / np.sqrt(d))
 
     # effects | rest
-    if not prior_only:
-        resid = Z - Xa @ state.beta
     if k:
-        lam, _, BV = spectrum
+        lam = spectrum[0]
         h = state.tau * lam
         mean = 0.0
         if not prior_only:
-            g = BV.T @ resid
+            g = BtZ - C.T @ state.beta
             h = h + 1.0 / state.sigma2
             mean = g / (state.sigma2 * h)
         if not h.min() > 0.0:
@@ -405,6 +406,7 @@ def gibbs_gaussian(
         else:
             # (B V)'(B V) = I, so |resid - B V y|^2 splits into the part of
             # resid outside the span of B V and |g - y|^2, with no O(nk) product
+            resid = Z - Xa @ state.beta
             rss = float(resid @ resid)
             if k:
                 d = g - state.effects
@@ -578,6 +580,8 @@ def fit(
         lam = degrees
     elif k:
         spectrum = lam, V, B = _effect_spectrum(Q_B, B)
+    # the Gaussian sweep's data terms, fixed for the chain
+    cache = _gaussian_cache(X.X, Z, spectrum) if gaussian else None
     if k and not gaussian and not prior_only:
         mu = inverse_link(spec.family, eta)
         c = float(np.mean(mu * (1.0 - mu) if spec.family == "bernoulli" else mu))
@@ -634,7 +638,7 @@ def fit(
                 prior_only=prior_only,
                 fixed_tau=fixed_tau,
                 fixed_sigma2=fixed_sigma2,
-                spectrum=spectrum,
+                cache=cache,
             )
         else:
             # beta block

@@ -77,8 +77,13 @@ def hpd_interval(draws: np.ndarray, level: float = 0.95):
     does, so the shortest such window can never be wider than the
     equal-tailed interval (that interval itself contains one candidate).
     """
-    x = np.sort(np.asarray(draws, dtype=float))
-    n = x.shape[0]
+    lo, hi = _hpd_rows(np.sort(np.asarray(draws, dtype=float))[None, :], level)
+    return float(lo[0]), float(hi[0])
+
+
+def _hpd_rows(x: np.ndarray, level: float):
+    """(lo, hi) arrays of ``hpd_interval`` for each row of the row-sorted x."""
+    n = x.shape[1]
     alpha = (1.0 - level) / 2.0
     # type-7 quantile positions, 1-based
     h_lo = (n - 1) * alpha + 1
@@ -86,10 +91,10 @@ def hpd_interval(draws: np.ndarray, level: float = 0.95):
     k = int(np.floor(h_hi)) - int(np.ceil(h_lo)) + 1
     k = min(max(k, 1), n)
     if k >= n:
-        return float(x[0]), float(x[-1])
-    widths = x[k - 1 :] - x[: n - k + 1]
-    i = int(np.argmin(widths))
-    return float(x[i]), float(x[i + k - 1])
+        return x[:, 0], x[:, -1]
+    i = np.argmin(x[:, k - 1 :] - x[:, : n - k + 1], axis=1)
+    rows = np.arange(x.shape[0])
+    return x[rows, i], x[rows, i + k - 1]
 
 
 def mcse(draws: np.ndarray) -> float:
@@ -102,67 +107,94 @@ def mcse(draws: np.ndarray) -> float:
     n = x.shape[0]
     if n < 100:
         raise ValueError(f"batch-means MCSE needs at least 100 draws, got {n}")
+    return float(_mcse_rows(x[None, :])[0])
+
+
+def _mcse_rows(x: np.ndarray) -> np.ndarray:
+    """``mcse`` of each row of x, which has at least 100 columns."""
+    n = x.shape[1]
     b = int(np.floor(np.sqrt(n)))
     a = n // b
-    used = x[: a * b]
-    batch_means = used.reshape(a, b).mean(axis=1)
-    center = batch_means.mean()
-    asym_var = b * np.sum((batch_means - center) ** 2) / (a - 1)
-    return float(np.sqrt(asym_var / (a * b)))
+    batch_means = x[:, : a * b].reshape(x.shape[0], a, b).mean(axis=2)
+    center = batch_means.mean(axis=1, keepdims=True)
+    asym_var = b * np.sum((batch_means - center) ** 2, axis=1) / (a - 1)
+    return np.sqrt(asym_var / (a * b))
+
+
+def _summarize_rows(x: np.ndarray, level: float) -> list:
+    """A ParamSummary for each row of the (params, draws) array x.
+
+    Every statistic is taken along axis 1, with the same arithmetic for each
+    row as for a single sequence of draws.
+    """
+    n = x.shape[1]
+    if n == 0:
+        raise ValueError("cannot summarize an empty draw sequence")
+    alpha = (1.0 - level) / 2.0
+    eqt_lo, eqt_hi = np.quantile(x, [alpha, 1.0 - alpha], axis=1)
+    hpd_lo, hpd_hi = _hpd_rows(np.sort(x, axis=1), level)
+    if n >= 100:
+        se = _mcse_rows(x)
+    elif n > 1:
+        se = np.std(x, axis=1, ddof=1) / np.sqrt(n)
+    else:
+        se = np.zeros(x.shape[0])
+    columns = (x.mean(axis=1), eqt_lo, eqt_hi, hpd_lo, hpd_hi, se)
+    return [ParamSummary(*row) for row in zip(*(c.tolist() for c in columns))]
 
 
 def summarize_draws(draws: np.ndarray, level: float = 0.95) -> ParamSummary:
-    draws = np.asarray(draws, dtype=float)
-    if draws.size == 0:
-        raise ValueError("cannot summarize an empty draw sequence")
-    eqt = equal_tailed_interval(draws, level)
-    hpd = hpd_interval(draws, level)
-    if draws.size >= 100:
-        se = mcse(draws)
-    else:
-        se = float(np.std(draws, ddof=1) / np.sqrt(draws.size)) if draws.size > 1 else 0.0
-    return ParamSummary(
-        mean=float(draws.mean()),
-        eqt_lo=eqt[0],
-        eqt_hi=eqt[1],
-        hpd_lo=hpd[0],
-        hpd_hi=hpd[1],
-        mcse=se,
-    )
+    return _summarize_rows(np.asarray(draws, dtype=float).reshape(1, -1), level)[0]
 
 
 def summarize_chain(chain, level: float = 0.95, include_effects: bool = True) -> FitSummary:
     """Per-parameter posterior mean, equal-tailed and HPD intervals, MCSE.
 
     Depends only on the retained draws, so any thinning that preserves the
-    retained set leaves the summary unchanged.
+    retained set leaves the summary unchanged. All parameters are summarized
+    at once, from one contiguous (params, draws) array.
     """
     if chain.n_draws == 0:
         raise ValueError("cannot summarize an empty chain")
-    mat = chain.matrix()
-    params = {}
-    for j, name in enumerate(chain.names):
-        if not include_effects and name.startswith("effect."):
-            continue
-        params[name] = summarize_draws(mat[:, j], level)
-    return FitSummary(level=level, params=params)
+    keep = [
+        j
+        for j, name in enumerate(chain.names)
+        if include_effects or not name.startswith("effect.")
+    ]
+    x = np.ascontiguousarray(chain.matrix()[:, keep].T)
+    names = [chain.names[j] for j in keep]
+    return FitSummary(level=level, params=dict(zip(names, _summarize_rows(x, level))))
+
+
+# sites per block of the fitted surface. A product over a block of rows may
+# round differently in the last bit from one product over all sites
+_FITTED_BLOCK = 288
 
 
 def fitted_surface(chain, spec: ModelSpec, X: DesignMatrix, basis) -> np.ndarray:
-    """Posterior mean of g^{-1}(eta) over the retained draws."""
-    betas = chain.draws["beta"]
-    eta = X.X @ betas.T  # (n, d)
-    if "effects" in chain.draws:
-        effects = chain.draws["effects"]
-        if spec.parameterization == "traditional":
-            eta = eta + effects.T
-        elif spec.parameterization == "rhz":
-            eta = eta + basis.L @ effects.T
-        elif spec.parameterization == "sparse":
-            eta = eta + basis.M @ effects.T
-    if spec.offset is not None:
-        eta = eta + np.log(spec.offset)[:, None]
-    return inverse_link(spec.family, eta).mean(axis=1)
+    """Posterior mean of g^{-1}(eta) over the retained draws.
+
+    eta is built for ``_FITTED_BLOCK`` sites at a time, so the memory beyond
+    the draws is O(draws), not O(n x draws).
+    """
+    betas = chain.draws["beta"].T
+    effects = chain.draws["effects"].T if "effects" in chain.draws else None
+    loading = None
+    if spec.parameterization == "rhz":
+        loading = basis.L
+    elif spec.parameterization == "sparse":
+        loading = basis.M
+    log_offset = None if spec.offset is None else np.log(spec.offset)
+    out = np.empty(X.n)
+    for start in range(0, X.n, _FITTED_BLOCK):
+        rows = slice(start, start + _FITTED_BLOCK)
+        eta = X.X[rows] @ betas  # (block, draws)
+        if effects is not None:
+            eta = eta + (effects[rows] if loading is None else loading[rows] @ effects)
+        if log_offset is not None:
+            eta = eta + log_offset[rows, None]
+        out[rows] = inverse_link(spec.family, eta).mean(axis=1)
+    return out
 
 
 def error_norm(fitted: np.ndarray, truth: np.ndarray) -> float:

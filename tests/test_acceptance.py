@@ -247,8 +247,10 @@ def test_criterion_8_dimension_reduction_speed():
     speedup = t_rhz / t_sparse
 
     # the effect-update's prior work is a q x q quadratic form, independent
-    # of n: time it at fixed q = 50 while n quadruples (400 -> 1600),
-    # interleaving the two measurements to cancel clock and cache drift
+    # of n: time it at fixed q = 50 while n quadruples (400 -> 1600). Many
+    # short interleaved pairs, in alternating order, cancel clock and cache
+    # drift, and the median of the per-pair ratios ignores the few pairs
+    # that a busy spell of the machine distorts
     def make_case(rows):
         g = sglmm.build_lattice(rows, rows)
         X = sglmm.lattice_design(g)
@@ -258,7 +260,7 @@ def test_criterion_8_dimension_reduction_speed():
     q_small, d_small = make_case(20)
     q_large, d_large = make_case(40)
 
-    def batch(Q_S, delta, reps=20_000):
+    def batch(Q_S, delta, reps=5_000):
         start = time.perf_counter()
         for _ in range(reps):
             float(delta @ (Q_S @ delta))
@@ -266,11 +268,16 @@ def test_criterion_8_dimension_reduction_speed():
 
     batch(q_small, d_small, 2_000)  # warm-up
     batch(q_large, d_large, 2_000)
-    t_small = t_large = float("inf")
-    for _ in range(5):
-        t_small = min(t_small, batch(q_small, d_small))
-        t_large = min(t_large, batch(q_large, d_large))
-    rel_change = abs(t_large - t_small) / t_small
+    ratios = []
+    for i in range(41):
+        if i % 2:
+            t_large = batch(q_large, d_large)
+            t_small = batch(q_small, d_small)
+        else:
+            t_small = batch(q_small, d_small)
+            t_large = batch(q_large, d_large)
+        ratios.append(t_large / t_small)
+    rel_change = abs(float(np.median(ratios)) - 1.0)
     shape_small, shape_large = q_small.shape, q_large.shape
 
     ok = speedup >= 3.0 and rel_change < 0.2 and shape_small == shape_large == (50, 50)

@@ -13,6 +13,7 @@ from sglmm.model import Dataset, ModelSpec, ParameterState, PriorSet
 from sglmm.sampler import (
     McmcConfig,
     _effect_spectrum,
+    _gaussian_cache,
     color_classes,
     conditional_scale,
     fit,
@@ -308,12 +309,8 @@ def _islands_20x20():
     return graph_from_edges(400, edges, coords=g.coords)
 
 
-@pytest.fixture(scope="module")
-def gaussian_400():
-    # (B, Q_B) per parameterization at n = 400; B None is the identity
-    g = build_lattice(20, 20)
-    X = lattice_design(g)
-    Z = X.X @ np.array([1.0, -0.5]) + np.random.default_rng(40).standard_normal(400)
+def _gaussian_cases(g, X, Z):
+    # (X, Z, {model: (B, Q_B)}) per parameterization; B None is the identity
     rb = rhz_basis(X, g)
     mb = moran_basis(X, g, q=50)
     cases = {
@@ -324,10 +321,33 @@ def gaussian_400():
     return X, Z, cases
 
 
+@pytest.fixture(scope="module")
+def gaussian_400():
+    g = build_lattice(20, 20)
+    X = lattice_design(g)
+    Z = X.X @ np.array([1.0, -0.5]) + np.random.default_rng(40).standard_normal(400)
+    return _gaussian_cases(g, X, Z)
+
+
+@pytest.fixture(scope="module")
+def year_400():
+    # an intercept and a raw year column: cond(X) ~ 4e5, so the smallest
+    # eigenvalue of X'X is ~6e-12 of the largest, and still data
+    g = build_lattice(20, 20)
+    rng = np.random.default_rng(45)
+    X = DesignMatrix(np.column_stack([np.ones(400), 2000.0 + 10.0 * rng.standard_normal(400)]))
+    Z = X.X @ np.array([1.0, -0.5]) + rng.standard_normal(400)
+    return _gaussian_cases(g, X, Z)
+
+
 @pytest.mark.parametrize("model", ["traditional", "rhz", "sparse"])
-def test_gibbs_gaussian_conditionals_match_dense_solve(gaussian_400, model):
-    X, Z, cases = gaussian_400
-    B, Q_B = cases[model]
+def test_gibbs_gaussian_conditionals_match_dense_solve(gaussian_400, year_400, model):
+    # beta's rtol on the year design allows for the cond(X'X) ~ 1e11 of both solves
+    for (X, Z, cases), beta_rtol in ((gaussian_400, 1e-10), (year_400, 1e-7)):
+        _check_conditionals_match_dense_solve(X, Z, *cases[model], beta_rtol)
+
+
+def _check_conditionals_match_dense_solve(X, Z, B, Q_B, beta_rtol):
     k = Q_B.shape[0]
     loading = np.eye(400) if B is None else B
     BtB = loading.T @ loading
@@ -336,10 +356,15 @@ def test_gibbs_gaussian_conditionals_match_dense_solve(gaussian_400, model):
     prec = BtB / s2 + tau * Q_B
     kw = dict(X=X, car_k=k, Z=Z, priors=PriorSet(), fixed_tau=tau)
 
-    # without a spectrum the kernel factorizes eigh(Q_B_dense, BtB) itself
+    # without a cache the kernel factorizes eigh(Q_B_dense, BtB) itself
     rng = _NoNoise()
     state = ParameterState(beta=np.zeros(2), effects=start.copy(), tau=tau, sigma2=s2)
     gibbs_gaussian(rng, state, B=B, BtB=BtB, Q_B_dense=Q_B, Q_B=Q_B, **kw)
+    # beta | delta has precision X'X/s2 + I/v and right-hand side X'(Z - B delta)/s2
+    beta_prec = X.X.T @ X.X / s2 + np.eye(2) / PriorSet().beta_variance
+    beta_rhs = X.X.T @ (Z - loading @ start) / s2
+    expected_beta = np.linalg.solve(beta_prec, beta_rhs)
+    assert np.allclose(state.beta, expected_beta, rtol=beta_rtol, atol=0)
     rhs = loading.T @ (Z - X.X @ state.beta) / s2
     expected = scipy.linalg.cho_solve(scipy.linalg.cho_factor(prec), rhs)
     assert np.allclose(state.effects, expected)
@@ -348,12 +373,13 @@ def test_gibbs_gaussian_conditionals_match_dense_solve(gaussian_400, model):
     (_, scale), = rng.gamma_args
     assert np.isclose(1.0 / scale, PriorSet().sigma2_rate + 0.5 * rss)
 
-    # with the spectrum fit computes once, effects in the rotated coordinates
+    # with the cache fit computes once, effects in the rotated coordinates
     spectrum = _effect_spectrum(Q_B, B)
     V = spectrum[1]
     beta = state.beta
     state = ParameterState(beta=np.zeros(2), effects=V.T @ start, tau=tau, sigma2=s2)
-    gibbs_gaussian(_NoNoise(), state, spectrum=spectrum, fixed_sigma2=s2, **kw)
+    cache = _gaussian_cache(X.X, Z, spectrum)
+    gibbs_gaussian(_NoNoise(), state, cache=cache, fixed_sigma2=s2, **kw)
     assert np.allclose(state.beta, beta)
     assert np.allclose(V @ state.effects, expected)
 
@@ -361,7 +387,8 @@ def test_gibbs_gaussian_conditionals_match_dense_solve(gaussian_400, model):
 @pytest.mark.parametrize("model", ["traditional", "rhz", "sparse"])
 def test_gibbs_gaussian_effects_covariance_matches_inverse_precision(gaussian_400, model):
     # every sweep starts from the same state; an effects draw minus its
-    # conditional mean given the beta drawn before it is N(0, prec^{-1})
+    # conditional mean given the beta drawn before it is N(0, prec^{-1}),
+    # and the beta draw is exact given effects 0
     X, Z, cases = gaussian_400
     B, Q_B = cases[model]
     k = Q_B.shape[0]
@@ -369,6 +396,7 @@ def test_gibbs_gaussian_effects_covariance_matches_inverse_precision(gaussian_40
     tau, s2 = 2.0, 0.5
     spectrum = _effect_spectrum(Q_B, B)
     V = spectrum[1]
+    cache = _gaussian_cache(X.X, Z, spectrum)
     rng = np.random.default_rng(42)
     n_draws = 4_000
     betas = np.empty((n_draws, 2))
@@ -377,7 +405,7 @@ def test_gibbs_gaussian_effects_covariance_matches_inverse_precision(gaussian_40
         state = ParameterState(beta=np.zeros(2), effects=np.zeros(k), tau=tau, sigma2=s2)
         gibbs_gaussian(
             rng, state, X=X, car_k=k, Z=Z, priors=PriorSet(),
-            fixed_tau=tau, fixed_sigma2=s2, spectrum=spectrum,
+            fixed_tau=tau, fixed_sigma2=s2, cache=cache,
         )
         betas[i] = state.beta
         deltas[i] = V @ state.effects
@@ -393,6 +421,17 @@ def test_gibbs_gaussian_effects_covariance_matches_inverse_precision(gaussian_40
         assert abs(sq.mean() - u @ cov @ u) < 3 * mcse(sq)
     whitened = np.sum(e * (e @ prec), axis=1)  # chi-square, k degrees of freedom
     assert abs(whitened.mean() - k) < 3 * mcse(whitened)
+
+    # from effects 0, beta ~ N(P^{-1} X'Z/s2, P^{-1}) with P = X'X/s2 + I/v
+    beta_prec = X.X.T @ X.X / s2 + np.eye(2) / PriorSet().beta_variance
+    e = betas - np.linalg.solve(beta_prec, X.X.T @ Z / s2)
+    beta_cov = np.linalg.inv(beta_prec)
+    _, W = np.linalg.eigh(beta_prec)
+    for u in (np.eye(2)[0], np.eye(2)[1], W[:, 0], W[:, 1]):
+        sq = (e @ u) ** 2
+        assert abs(sq.mean() - u @ beta_cov @ u) < 3 * mcse(sq)
+    whitened = np.sum(e * (e @ beta_prec), axis=1)  # chi-square, 2 degrees of freedom
+    assert abs(whitened.mean() - 2) < 3 * mcse(whitened)
 
 
 def test_traditional_gaussian_fit_finite_on_graph_with_islands():

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from sglmm.basis import moran_basis
-from sglmm.graph import build_lattice
+from sglmm.basis import moran_basis, rhz_basis
+from sglmm.graph import build_lattice, laplacian
 from sglmm.model import Dataset, ModelSpec
 from sglmm.sampler import Chain, McmcConfig, fit
 from sglmm.simulate import lattice_design, simulate_dataset
@@ -133,6 +133,61 @@ def test_summary_depends_only_on_retained_draws():
     s1 = summarize_chain(c1)
     s2 = summarize_chain(c2)
     assert s1 == s2
+
+
+@pytest.mark.parametrize("n_draws", [57, 100, 413])
+@pytest.mark.parametrize("include_effects", [True, False])
+def test_summarize_chain_equals_per_column_summaries(n_draws, include_effects):
+    # the vectorized summary is exactly the per-column one, mean and
+    # quantiles included, with and without the effect columns
+    rng = np.random.default_rng(5)
+    effects = np.cumsum(rng.standard_normal((n_draws, 6)), axis=0)
+    effects[:, 0] = np.round(effects[:, 0])  # ties
+    draws = {
+        "beta": rng.standard_normal((n_draws, 2)) * [1e-3, 50.0],
+        "effects": effects,
+        "tau": rng.gamma(0.5, 2000.0, n_draws),
+    }
+    names = ["beta.a", "beta.b"] + [f"effect.{i}" for i in range(6)] + ["tau"]
+    chain = make_chain(draws, names)
+    fs = summarize_chain(chain, level=0.9, include_effects=include_effects)
+    kept = [n for n in names if include_effects or not n.startswith("effect.")]
+    assert list(fs.params) == kept
+    mat = chain.matrix()
+    for name in kept:
+        col = mat[:, names.index(name)]
+        s = fs.params[name]
+        assert s == summarize_draws(col, level=0.9)
+        assert s.mean == float(col.mean())
+        assert (s.eqt_lo, s.eqt_hi) == equal_tailed_interval(col, level=0.9)
+        assert (s.hpd_lo, s.hpd_hi) == hpd_interval(col, level=0.9)
+        if n_draws >= 100:
+            assert s.mcse == mcse(col)
+
+
+@pytest.mark.parametrize("model", ["traditional", "rhz", "sparse"])
+def test_fitted_surface_blocks_match_one_shot(model):
+    # 437 sites: one full block of sites and a partial one, with an offset
+    g = build_lattice(19, 23)
+    X = lattice_design(g)
+    if model == "traditional":
+        basis, loading = laplacian(g), np.eye(g.n)
+    elif model == "rhz":
+        basis = rhz_basis(X, g)
+        loading = basis.L
+    else:
+        basis = moran_basis(X, g, q=30)
+        loading = basis.M
+    rng = np.random.default_rng(6)
+    offset = rng.uniform(0.5, 20.0, g.n)
+    spec = ModelSpec("poisson", model, q=30 if model == "sparse" else None, offset=offset)
+    beta = 0.3 * rng.standard_normal((210, 2))
+    effects = 0.3 * rng.standard_normal((210, loading.shape[1]))
+    chain = make_chain({"beta": beta, "effects": effects}, [], spec)
+    eta = X.X @ beta.T + loading @ effects.T + np.log(offset)[:, None]
+    expected = np.exp(eta).mean(axis=1)
+    # a BLAS product over a block of rows may round differently in the last bit
+    np.testing.assert_allclose(fitted_surface(chain, spec, X, basis), expected, rtol=1e-13)
 
 
 def test_fitted_surface_single_draw_and_zero_norm():
