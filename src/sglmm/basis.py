@@ -59,15 +59,11 @@ _ZERO_SNAP = 1e-10
 
 
 def _snap_zeros(vals: np.ndarray) -> np.ndarray:
-    out = vals.copy()
-    out[np.abs(out) <= _ZERO_SNAP] = 0.0
-    return out
+    return np.where(np.abs(vals) <= _ZERO_SNAP, 0.0, vals)
 
 
 def _as_array(X) -> np.ndarray:
-    if isinstance(X, DesignMatrix):
-        return X.X
-    return np.asarray(X, dtype=float)
+    return X.X if isinstance(X, DesignMatrix) else np.asarray(X, dtype=float)
 
 
 def _dependent_column(X: np.ndarray) -> int:
@@ -81,6 +77,15 @@ def _dependent_column(X: np.ndarray) -> int:
             return j
         basis = np.column_stack([basis, resid / np.linalg.norm(resid)])
     return -1
+
+
+def _check_rank(X: np.ndarray) -> None:
+    svals = np.linalg.svd(X, compute_uv=False)
+    if svals[-1] <= 1e-10 * svals[0]:
+        raise ValueError(
+            f"design matrix is rank deficient: column {_dependent_column(X)} "
+            "is linearly dependent on earlier columns"
+        )
 
 
 @dataclass(frozen=True)
@@ -98,12 +103,7 @@ class DesignMatrix:
         n, p = X.shape
         if p >= n:
             raise ValueError(f"design matrix needs p < n, got {n} x {p}")
-        svals = np.linalg.svd(X, compute_uv=False)
-        if svals[-1] <= 1e-10 * svals[0]:
-            raise ValueError(
-                f"design matrix is rank deficient: column {_dependent_column(X)} "
-                "is linearly dependent on earlier columns"
-            )
+        _check_rank(X)
         if not self.names:
             object.__setattr__(self, "names", tuple(f"x{j}" for j in range(p)))
         elif len(self.names) != p:
@@ -151,12 +151,7 @@ class RhzBasis:
 
 def _orthonormal_range(X: np.ndarray) -> np.ndarray:
     """Orthonormal basis U of span(X), validating full column rank."""
-    svals = np.linalg.svd(X, compute_uv=False)
-    if svals[-1] <= 1e-10 * svals[0]:
-        raise ValueError(
-            f"design matrix is rank deficient: column {_dependent_column(X)} "
-            "is linearly dependent on earlier columns"
-        )
+    _check_rank(X)
     U, _ = np.linalg.qr(X)
     return U
 
@@ -178,10 +173,29 @@ def projection_complement(X) -> np.ndarray:
     Returns the dense symmetric idempotent matrix I - X (X'X)^{-1} X',
     computed from an orthonormal basis of span(X) for stability.
     """
-    Xa = _as_array(X)
-    U = _orthonormal_range(Xa)
-    P_perp = np.eye(Xa.shape[0]) - U @ U.T
+    U = _orthonormal_range(_as_array(X))
+    P_perp = np.eye(U.shape[0]) - U @ U.T
     return (P_perp + P_perp.T) / 2.0
+
+
+def _moran_triangle(X, g: Graph, source: str = "adjacency") -> np.ndarray:
+    """P S P (S = A, or Q for the Laplacian) in the one n x n buffer of S.
+
+    Returns the F-ordered view whose upper triangle holds P S P; the lower
+    one is stale. P S P = S - (U W' + W U') with W = S U - U (U'S U) / 2, U
+    an orthonormal basis of span(X): one in-place rank-2p update.
+    """
+    if source == "adjacency":
+        S = g.dense_adjacency()
+    elif source == "laplacian":
+        S = laplacian(g).dense()
+    else:
+        raise ValueError(f"source must be 'adjacency' or 'laplacian', got {source!r}")
+    U = _orthonormal_range(_as_array(X))
+    T = S.T  # S is symmetric, so its F-ordered view is S itself
+    SU = T @ U
+    W = SU - 0.5 * (U @ (U.T @ SU))
+    return scipy.linalg.blas.dsyr2k(-1.0, U, W, beta=1.0, c=T, overwrite_c=1)
 
 
 def moran_operator(X, g: Graph, source: str = "adjacency") -> np.ndarray:
@@ -197,21 +211,11 @@ def moran_operator(X, g: Graph, source: str = "adjacency") -> np.ndarray:
         The adjacency form is Moran-like (large eigenvalues mean attraction);
         the Laplacian form is Geary-like.
 
-    Returns a dense n x n symmetric matrix; intended for moderate n.
+    Returns a dense n x n symmetric matrix (the triangle the eigensolvers
+    read, copied into the other one); intended for moderate n.
     """
-    if source == "adjacency":
-        S = g.dense_adjacency()
-    elif source == "laplacian":
-        S = laplacian(g).dense()
-    else:
-        raise ValueError(f"source must be 'adjacency' or 'laplacian', got {source!r}")
-    Xa = _as_array(X)
-    U = _orthonormal_range(Xa)
-    # P S P = S - U(U'S) - (SU)U' + U(U'SU)U' without forming P explicitly
-    SU = S @ U
-    UtSU = U.T @ SU
-    op = S - U @ SU.T - SU @ U.T + U @ UtSU @ U.T
-    return (op + op.T) / 2.0
+    op = _moran_triangle(X, g, source).T  # lower triangle holds P S P
+    return np.tril(op) + np.tril(op, -1).T
 
 
 def _standardizer(g: Graph) -> float:
@@ -222,46 +226,56 @@ def _standardizer(g: Graph) -> float:
     return g.n / total
 
 
+def _moran_eigh(X, g: Graph, **options):
+    """Eigenvalues and, unless ``eigvals_only``, eigenvectors, descending.
+
+    The MRRR driver ``dsyevr`` (Dhillon, Parlett & Voemel 2006) works in the
+    buffer of ``_moran_triangle`` and computes only the pairs asked for by
+    ``subset_by_index`` or ``subset_by_value``, all pairs without them.
+    """
+    out = scipy.linalg.eigh(
+        _moran_triangle(X, g), lower=False, driver="evr",
+        overwrite_a=True, check_finite=False, **options,
+    )
+    if options.get("eigvals_only"):
+        return _snap_zeros(out[::-1])
+    return _snap_zeros(out[0][::-1]), out[1][:, ::-1]
+
+
 def moran_spectrum(X, g: Graph) -> tuple[np.ndarray, np.ndarray]:
     """All eigenvalues of the Moran operator, descending, raw and standardized."""
     scale = _standardizer(g)
-    op = moran_operator(X, g, source="adjacency")
-    vals = _snap_zeros(np.linalg.eigvalsh(op)[::-1])
+    vals = _moran_eigh(X, g, eigvals_only=True)
     return vals, vals * scale
 
 
 def moran_eigensystem(X, g: Graph) -> tuple[np.ndarray, np.ndarray]:
     """Full eigendecomposition of the Moran operator, descending.
 
-    Returns (eigenvalues, eigenvectors); feed to ``moran_basis`` through its
-    ``eigensystem`` argument to avoid repeating the decomposition.
+    Returns (eigenvalues, eigenvectors); its peak memory is two n x n
+    buffers, the operator and the eigenvectors. Feed them to ``moran_basis``
+    through its ``eigensystem`` argument to avoid repeating the work.
     """
-    op = moran_operator(X, g)
-    vals, vecs = np.linalg.eigh(op)
-    order = np.argsort(vals)[::-1]
-    return _snap_zeros(vals[order]), vecs[:, order]
+    return _moran_eigh(X, g)
 
 
 def _leading_eigpairs(X, g: Graph, k: int) -> tuple[np.ndarray, np.ndarray]:
     """k largest eigenpairs of the Moran operator P A P, descending.
 
-    Up to ``_DENSE_EIG_LIMIT`` vertices (or for k >= n - 1) this slices a full
-    ``eigh``. Above it, shift-invert Lanczos (Ericsson & Ruhe 1980) runs on
-    (P A P - sigma)^{-1} over span(X)-perp, with sigma just above the
-    spectrum. One sparse LU of the bordered matrix [[A - sigma I, U], [U', 0]],
-    U an orthonormal basis of span(X), applies that inverse. Single-vector
-    Lanczos can return fewer copies of a repeated eigenvalue than it has, so a
-    check deflated by the pairs found looks for a pair above the smallest one
-    kept, swaps it in, and repeats until none is found. All start vectors are
-    fixed, so the result is reproducible.
+    Up to ``_DENSE_EIG_LIMIT`` vertices (or for k >= n - 1) ``_moran_eigh``
+    computes just these k pairs. Above it, shift-invert Lanczos (Ericsson &
+    Ruhe 1980) runs on (P A P - sigma)^{-1} over span(X)-perp, with sigma just
+    above the spectrum. One sparse LU of the bordered matrix
+    [[A - sigma I, U], [U', 0]], U an orthonormal basis of span(X), applies
+    that inverse. Single-vector Lanczos can return fewer copies of a repeated
+    eigenvalue than it has, so a check deflated by the pairs found looks for
+    a pair above the smallest one kept, swaps it in, and repeats until none
+    is found. All start vectors are fixed, so the result is reproducible.
     """
     Xa = _as_array(X)
     n = Xa.shape[0]
     if n <= _DENSE_EIG_LIMIT or k >= n - 1:
-        op = moran_operator(Xa, g)
-        vals, vecs = np.linalg.eigh(op)
-        order = np.argsort(vals)[::-1]
-        return _snap_zeros(vals[order][:k]), vecs[:, order][:, :k]
+        return _moran_eigh(Xa, g, subset_by_index=[n - k, n - 1])
     U = _orthonormal_range(Xa)
     A = g.adjacency().astype(float)
 
@@ -353,7 +367,9 @@ def moran_basis(
         if eigensystem is not None:
             vals, vecs = eigensystem
         elif n <= _DENSE_EIG_LIMIT:
-            vals, vecs = _leading_eigpairs(Xa, g, n)
+            # from a little below, so rounding loses no pair the test keeps
+            floor = threshold / scale * (1.0 - 1e-9)
+            vals, vecs = _moran_eigh(Xa, g, subset_by_value=[floor, np.inf])
         else:
             # Grow k until the spectrum crosses the threshold.
             k = min(n - 2, 256)
@@ -426,10 +442,7 @@ def reduced_precision(B: np.ndarray, Q) -> np.ndarray:
     matrix, or a dense array.
     """
     B = np.asarray(B, dtype=float)
-    if isinstance(Q, PrecisionMatrix):
-        Qm = Q.Q
-    else:
-        Qm = Q
+    Qm = Q.Q if isinstance(Q, PrecisionMatrix) else Q
     if B.ndim != 2 or Qm.shape[0] != Qm.shape[1] or B.shape[0] != Qm.shape[0]:
         raise ValueError(
             f"dimension mismatch: B is {B.shape}, Q is {Qm.shape}"
@@ -465,6 +478,4 @@ def moran_I(g: Graph, Z: np.ndarray, X=None) -> float:
             "residual of Z is degenerate (Z lies in the span of the design); "
             "Moran's I is undefined"
         )
-    A = g.adjacency().astype(float)
-    num = float(resid @ (A @ resid))
-    return scale * num / denom
+    return scale * float(resid @ (g.adjacency() @ resid)) / denom

@@ -38,7 +38,7 @@ from .graph import (
     write_edge_list,
 )
 from .io import read_config, read_table, write_table
-from .model import Dataset, ModelSpec, PriorSet, inverse_link
+from .model import FAMILIES, PARAMETERIZATIONS, Dataset, ModelSpec, PriorSet, inverse_link
 from .sampler import Chain, McmcConfig, fit as run_mcmc
 from .simulate import PRESETS, simulate_dataset
 from .summary import fitted_surface, error_norm, summarize_chain, summarize_draws
@@ -65,8 +65,6 @@ _MCMC_KEYS = (
 )
 CONFIG_KEYS = _SPEC_KEYS + _MCMC_KEYS
 
-_MODELS = ("nonspatial", "traditional", "rhz", "sparse")
-_FAMILIES = ("bernoulli", "poisson", "gaussian")
 
 
 def _parse_bool(value: str) -> bool:
@@ -93,14 +91,14 @@ def _parse_steps(value: str) -> dict:
 
 def _spec_from_settings(settings: dict, offset=None) -> ModelSpec:
     family = settings.get("family")
-    if family not in _FAMILIES:
+    if family not in FAMILIES:
         raise ValueError(
-            f"family must be one of {', '.join(_FAMILIES)}; got {family!r}"
+            f"family must be one of {', '.join(FAMILIES)}; got {family!r}"
         )
     parameterization = settings.get("parameterization")
-    if parameterization not in _MODELS:
+    if parameterization not in PARAMETERIZATIONS:
         raise ValueError(
-            f"model must be one of {', '.join(_MODELS)}; got {parameterization!r}"
+            f"model must be one of {', '.join(PARAMETERIZATIONS)}; got {parameterization!r}"
         )
     priors = PriorSet(
         beta_variance=float(settings.get("beta_variance", 100.0)),
@@ -484,8 +482,8 @@ def _cmd_summarize(args, argv):
 def _cmd_reproduce(args, argv):
     families = [f.strip() for f in args.families.split(",")]
     for fam in families:
-        if fam not in _FAMILIES:
-            raise ValueError(f"unknown family {fam!r}; allowed: {', '.join(_FAMILIES)}")
+        if fam not in FAMILIES:
+            raise ValueError(f"unknown family {fam!r}; allowed: {', '.join(FAMILIES)}")
     import os
 
     os.makedirs(args.out_dir, exist_ok=True)
@@ -656,14 +654,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=int)
     p.add_argument("--tau", type=float)
     p.add_argument("--sigma2", type=float)
-    p.add_argument("--family", choices=_FAMILIES)
+    p.add_argument("--family", choices=FAMILIES)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out-prefix", required=True)
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("fit", help="fit a model to data on a graph")
-    p.add_argument("--model", choices=_MODELS)
-    p.add_argument("--family", choices=_FAMILIES)
+    p.add_argument("--model", choices=PARAMETERIZATIONS)
+    p.add_argument("--family", choices=FAMILIES)
     p.add_argument("--q", type=int)
     p.add_argument("--data", required=True, help="data CSV")
     p.add_argument("--graph", required=True, help="edge-list file")

@@ -42,11 +42,8 @@ class Graph:
     degrees: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        deg = np.zeros(self.n, dtype=np.int64)
-        for i, j in self.edges:
-            deg[i] += 1
-            deg[j] += 1
-        object.__setattr__(self, "degrees", deg)
+        ends = np.asarray(self.edges, dtype=np.int64).reshape(-1)
+        object.__setattr__(self, "degrees", np.bincount(ends, minlength=self.n))
         if self.coords is not None:
             object.__setattr__(self, "coords", np.asarray(self.coords, dtype=float))
 
@@ -56,9 +53,7 @@ class Graph:
 
     def adjacency(self) -> sp.csr_array:
         """Sparse symmetric 0/1 adjacency matrix A."""
-        if not self.edges:
-            return sp.csr_array((self.n, self.n), dtype=np.int64)
-        e = np.asarray(self.edges, dtype=np.int64)
+        e = np.asarray(self.edges, dtype=np.int64).reshape(-1, 2)
         rows = np.concatenate([e[:, 0], e[:, 1]])
         cols = np.concatenate([e[:, 1], e[:, 0]])
         data = np.ones(rows.size, dtype=np.int64)
@@ -66,11 +61,9 @@ class Graph:
 
     def dense_adjacency(self) -> np.ndarray:
         """Dense float adjacency; for use inside spectral routines only."""
-        return self.adjacency().toarray().astype(float)
+        return self.adjacency().astype(float).toarray()
 
     def n_components(self) -> int:
-        if self.n == 0:
-            return 0
         ncomp, _ = connected_components(self.adjacency(), directed=False)
         return int(ncomp)
 
@@ -92,7 +85,7 @@ class PrecisionMatrix:
         return self.Q.shape[0]
 
     def dense(self) -> np.ndarray:
-        return self.Q.toarray().astype(float)
+        return self.Q.astype(float, copy=False).toarray()
 
     def quadratic_form(self, w: np.ndarray) -> float:
         """w' Q w, at cost proportional to the edge count."""

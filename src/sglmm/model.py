@@ -155,9 +155,7 @@ def effect_dimension(spec: ModelSpec, X: DesignMatrix, basis) -> int:
 
 def _effect_loading(spec: ModelSpec, basis) -> np.ndarray | None:
     """Matrix B with eta = X beta + B theta; None means B = I (traditional)."""
-    if spec.parameterization == "nonspatial":
-        return None
-    if spec.parameterization == "traditional":
+    if spec.parameterization in ("nonspatial", "traditional"):
         return None
     if spec.parameterization == "rhz":
         if not isinstance(basis, RhzBasis):

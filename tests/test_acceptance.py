@@ -234,17 +234,31 @@ def test_criterion_8_dimension_reduction_speed():
     cfg = McmcConfig(iterations=iters, burn_in=4_000, thin=10, seed=3)
 
     # end-to-end: basis construction plus the chain, identical data and
-    # iteration counts
-    t0 = time.time()
-    mb = sglmm.moran_basis(sim.X, sim.graph, q=50)
-    fit(ModelSpec("bernoulli", "sparse", q=50), data, mb, cfg)
-    t_sparse = time.time() - t0
+    # iteration counts. The ratio of one pair sits too close to the bound
+    # for a shared machine (2.86 to 4.37 over 12 runs), so five pairs run
+    # interleaved, in alternating order, and their median ratio counts
+    def time_sparse():
+        t0 = time.perf_counter()
+        mb = sglmm.moran_basis(sim.X, sim.graph, q=50)
+        fit(ModelSpec("bernoulli", "sparse", q=50), data, mb, cfg)
+        return time.perf_counter() - t0
 
-    t0 = time.time()
-    rb = sglmm.rhz_basis(sim.X, sim.graph)
-    fit(ModelSpec("bernoulli", "rhz"), data, rb, cfg)
-    t_rhz = time.time() - t0
-    speedup = t_rhz / t_sparse
+    def time_rhz():
+        t0 = time.perf_counter()
+        rb = sglmm.rhz_basis(sim.X, sim.graph)
+        fit(ModelSpec("bernoulli", "rhz"), data, rb, cfg)
+        return time.perf_counter() - t0
+
+    sparse_times, rhz_times = [], []
+    for i in range(5):
+        if i % 2:
+            rhz_times.append(time_rhz())
+            sparse_times.append(time_sparse())
+        else:
+            sparse_times.append(time_sparse())
+            rhz_times.append(time_rhz())
+    speedup = float(np.median(np.divide(rhz_times, sparse_times)))
+    t_sparse, t_rhz = np.median(sparse_times), np.median(rhz_times)
 
     # the effect-update's prior work is a q x q quadratic form, independent
     # of n: time it at fixed q = 50 while n quadruples (400 -> 1600). Many
@@ -284,8 +298,8 @@ def test_criterion_8_dimension_reduction_speed():
     report(
         8,
         ok,
-        f"end-to-end sparse q=50: {t_sparse:.1f}s vs rhz: {t_rhz:.1f}s "
-        f"(speedup {speedup:.1f}x, need >= 3); quadratic-form time changed "
+        f"end-to-end sparse q=50: {t_sparse:.1f}s vs rhz: {t_rhz:.1f}s, median of "
+        f"5 pairs (speedup {speedup:.1f}x, need >= 3); quadratic-form time changed "
         f"{100 * rel_change:.0f}% when n went 400 -> 1600 (need < 20%, "
         f"reduced precision stays {shape_small})",
     )

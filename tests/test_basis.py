@@ -1,6 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from scipy.spatial import Delaunay
 
+from sglmm import basis as basis_module
 from sglmm.basis import (
     DesignMatrix,
     moran_I,
@@ -305,13 +311,15 @@ def test_moran_basis_threshold_on_large_graph():
     assert wider.standardized_eigenvalues[mb.q] <= 0.98
 
 
-def _two_islands_and_isolated_vertex() -> tuple:
-    # two 36x36 lattices side by side and one vertex with no edges (n = 2593);
-    # the two islands double every eigenvalue of the adjacency
-    lat = build_lattice(36, 36)
-    edges = list(lat.edges) + [(i + 1296, j + 1296) for i, j in lat.edges]
+def _two_islands_and_isolated_vertex(rows=36) -> tuple:
+    # two rows x rows lattices side by side and one vertex with no edges
+    # (n = 2593 for 36x36); the two islands double every eigenvalue of the
+    # adjacency
+    lat = build_lattice(rows, rows)
+    m = lat.n
+    edges = list(lat.edges) + [(i + m, j + m) for i, j in lat.edges]
     coords = np.vstack([lat.coords, lat.coords + [2.0, 0.0], [[4.0, 0.5]]])
-    return graph_from_edges(2593, edges, coords=coords), coords
+    return graph_from_edges(2 * m + 1, edges, coords=coords), coords
 
 
 def _repeated_eigenvalue_case(name):
@@ -343,3 +351,114 @@ def test_moran_basis_iterative_path_keeps_every_copy_of_repeated_eigenvalues(cas
     AM = g.adjacency().astype(float) @ mb.M  # M = P M, as X'M = 0
     resid = np.linalg.norm(AM - U @ (U.T @ AM) - mb.M * mb.eigenvalues, axis=0)
     assert resid.max() < 1e-8
+
+
+def _delaunay_graph(n, seed) -> tuple:
+    pts = np.random.default_rng(seed).random((n, 2))
+    tri = Delaunay(pts).simplices
+    pairs = np.sort(np.vstack([tri[:, [0, 1]], tri[:, [1, 2]], tri[:, [0, 2]]]), axis=1)
+    return graph_from_edges(n, np.unique(pairs, axis=0), coords=pts), pts
+
+
+def _dense_case(name):
+    if name == "lattice-30x30":
+        g = build_lattice(30, 30)
+        return g, lattice_design(g).X
+    if name == "delaunay-900":
+        return _delaunay_graph(900, 11)
+    return _two_islands_and_isolated_vertex(20)
+
+
+def _full_eigh_reference(X, g):
+    # P A P with an explicit projector, every eigenpair, descending
+    U, _ = np.linalg.qr(X)
+    P = np.eye(g.n) - U @ U.T
+    op = P @ g.adjacency().toarray() @ P
+    vals, vecs = np.linalg.eigh(op)
+    return op, vals[::-1], vecs[:, ::-1]
+
+
+@pytest.mark.parametrize("case", ["lattice-30x30", "delaunay-900", "islands-20x20"])
+def test_dense_moran_basis_matches_full_eigh(case):
+    # n <= 2500: the dense path computes only the pairs the rank rule keeps
+    # from the one buffer it builds P A P in; it must agree with every pair
+    # of a full eigh of an explicitly projected operator
+    g, X = _dense_case(case)
+    op, ref_vals, ref_vecs = _full_eigh_reference(X, g)
+    size = np.abs(ref_vals).max()
+    assert np.abs(moran_spectrum(X, g)[0] - ref_vals).max() <= 1e-12 * size
+
+    # the first q from 40 on whose last eigenvalue is not tied with the next
+    q = next(j for j in range(40, g.n) if ref_vals[j - 1] - ref_vals[j] > 1e-3 * size)
+    mb = moran_basis(X, g, q=q)
+    assert np.abs(mb.eigenvalues - ref_vals[:q]).max() <= 1e-12 * size
+    ref_M = ref_vecs[:, :q]
+    assert np.abs(mb.M @ mb.M.T - ref_M @ ref_M.T).max() < 1e-10
+    assert np.linalg.norm(op @ mb.M - mb.M * mb.eigenvalues, axis=0).max() < 1e-10
+    assert np.abs(mb.M.T @ mb.M - np.eye(q)).max() < 1e-10
+    assert np.abs(X.T @ mb.M).max() < 1e-10
+
+    # a threshold between the q-th and (q+1)-th standardized eigenvalues
+    scale = g.n / (2 * g.n_edges)
+    threshold = scale * (ref_vals[q - 1] + ref_vals[q]) / 2
+    by_threshold = moran_basis(X, g, threshold=threshold)
+    assert by_threshold.q == int(np.sum(ref_vals * scale > threshold)) == q
+    assert np.abs(by_threshold.eigenvalues - ref_vals[:q]).max() <= 1e-12 * size
+
+
+def test_dense_moran_basis_memory_is_one_n_by_n_buffer():
+    # P A P is built in the buffer of the dense adjacency and the solver
+    # writes only the q kept eigenvectors, so the traced peak stays near one
+    # n x n float array (LAPACK's O(n) workspace aside)
+    g = build_lattice(30, 30)
+    X = lattice_design(g)
+    moran_basis(X, g, q=50)  # first call loads the LAPACK wrappers
+    tracemalloc.start()
+    try:
+        moran_basis(X, g, q=50)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * g.n**2 * 8
+
+
+@st.composite
+def _irregular_graphs(draw):
+    # islands (random trees plus extra edges), hub vertices joined to half
+    # of their island, and isolated vertices; about 30 to 120 vertices
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    sizes = [draw(st.integers(25, 60))] + draw(st.lists(st.integers(2, 30), max_size=2))
+    n_hubs = draw(st.integers(0, 2))
+    edges, start = set(), 0
+    for m in sizes:
+        for v in range(1, m):
+            edges.add((start + int(rng.integers(v)), start + v))
+        for _ in range(m // 2):
+            i, j = sorted(int(v) for v in rng.choice(m, 2, replace=False))
+            edges.add((start + i, start + j))
+        for hub in rng.choice(m, min(n_hubs, m), replace=False):
+            for v in rng.choice(m, m // 2, replace=False):
+                if v != hub:
+                    edges.add((start + min(hub, v), start + max(hub, v)))
+        start += m
+    n = start + draw(st.integers(0, 3))
+    X = np.column_stack([np.ones(n), rng.standard_normal(n)])
+    return graph_from_edges(n, sorted(edges)), X, draw(st.integers(1, 12))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(case=_irregular_graphs())
+def test_dense_and_shift_invert_moran_basis_agree(case):
+    g, X, q = case
+    vals, _ = moran_spectrum(X, g)
+    size = max(abs(vals[0]), 1.0)
+    q = min(q, int(np.sum(vals > 1e-6 * size)))
+    assume(q >= 1)
+    dense = moran_basis(X, g, q=q)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(basis_module, "_DENSE_EIG_LIMIT", 0)
+        iterative = moran_basis(X, g, q=q)
+    assert np.abs(iterative.eigenvalues - dense.eigenvalues).max() <= 1e-9 * size
+    if vals[q - 1] - vals[q] > 1e-3 * size:
+        gap = dense.M @ dense.M.T - iterative.M @ iterative.M.T
+        assert np.abs(gap).max() < 1e-8
