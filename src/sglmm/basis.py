@@ -45,10 +45,15 @@ __all__ = [
     "moran_I",
 ]
 
-# Full symmetric eigendecomposition up to this size. Above it, shift-invert
-# Lanczos with a completeness check finds the leading pairs (see
-# ``_leading_eigpairs``).
+# Solver for the k leading Moran pairs of an n-vertex graph: dense
+# ``dsyevr`` (O(n^3) time, one n x n buffer) iff
+# n <= max(_DENSE_EIG_SMALL, _DENSE_EIG_RATIO * k), and never above
+# _DENSE_EIG_LIMIT, the memory ceiling; shift-invert Lanczos otherwise. The
+# constants fit a crossover table measured on lattice and Delaunay graphs
+# (README, "Numerical notes").
 _DENSE_EIG_LIMIT = 2500
+_DENSE_EIG_SMALL = 500
+_DENSE_EIG_RATIO = 9
 
 _RANK_RTOL = 1e-10
 
@@ -259,22 +264,29 @@ def moran_eigensystem(X, g: Graph) -> tuple[np.ndarray, np.ndarray]:
     return _moran_eigh(X, g)
 
 
+def _dense_eigpairs(n: int, k: int) -> bool:
+    """Whether the dense solver finds the k leading pairs of an n-vertex graph."""
+    return k >= n - 1 or n <= min(_DENSE_EIG_LIMIT, max(_DENSE_EIG_SMALL, _DENSE_EIG_RATIO * k))
+
+
 def _leading_eigpairs(X, g: Graph, k: int) -> tuple[np.ndarray, np.ndarray]:
     """k largest eigenpairs of the Moran operator P A P, descending.
 
-    Up to ``_DENSE_EIG_LIMIT`` vertices (or for k >= n - 1) ``_moran_eigh``
-    computes just these k pairs. Above it, shift-invert Lanczos (Ericsson &
-    Ruhe 1980) runs on (P A P - sigma)^{-1} over span(X)-perp, with sigma just
-    above the spectrum. One sparse LU of the bordered matrix
-    [[A - sigma I, U], [U', 0]], U an orthonormal basis of span(X), applies
-    that inverse. Single-vector Lanczos can return fewer copies of a repeated
-    eigenvalue than it has, so a check deflated by the pairs found looks for
-    a pair above the smallest one kept, swaps it in, and repeats until none
-    is found. All start vectors are fixed, so the result is reproducible.
+    On small graphs, or when k is a large fraction of n (``_dense_eigpairs``),
+    ``_moran_eigh`` computes just these k pairs from the dense operator.
+    Otherwise shift-invert Lanczos (Ericsson & Ruhe 1980) runs on
+    (P A P - sigma)^{-1} over span(X)-perp, with sigma just above the
+    spectrum, and no n x n matrix is formed. One sparse LU of the bordered
+    matrix [[A - sigma I, U], [U', 0]], U an orthonormal basis of span(X),
+    in a symmetric fill-reducing order, applies that inverse. Single-vector
+    Lanczos can return fewer copies of a repeated eigenvalue than it has, so
+    a check deflated by the pairs found looks for a pair above the smallest
+    one kept, swaps it in, and repeats until none is found. All start
+    vectors are fixed, so the result is reproducible.
     """
     Xa = _as_array(X)
     n = Xa.shape[0]
-    if n <= _DENSE_EIG_LIMIT or k >= n - 1:
+    if _dense_eigpairs(n, k):
         return _moran_eigh(Xa, g, subset_by_index=[n - k, n - 1])
     U = _orthonormal_range(Xa)
     A = g.adjacency().astype(float)
@@ -294,7 +306,8 @@ def _leading_eigpairs(X, g: Graph, k: int) -> tuple[np.ndarray, np.ndarray]:
     sigma = lmax + 1e-2 * max(abs(lmax), 1.0)
     border = sp.csc_array(U)
     lu = sp.linalg.splu(
-        sp.block_array([[A - sigma * sp.eye_array(n), border], [border.T, None]], format="csc")
+        sp.block_array([[A - sigma * sp.eye_array(n), border], [border.T, None]], format="csc"),
+        permc_spec="MMD_AT_PLUS_A",
     )
     rhs = np.zeros(n + U.shape[1])
 

@@ -27,7 +27,7 @@ import time
 import numpy as np
 
 from . import __version__
-from .basis import DesignMatrix, moran_basis, moran_eigensystem, rhz_basis
+from .basis import DesignMatrix, moran_basis, moran_spectrum, rhz_basis
 from .glm import irls_fit
 from .graph import (
     build_lattice,
@@ -215,10 +215,7 @@ def _cmd_eigs(args, argv):
     if X.n != g.n:
         raise ValueError(f"design has {X.n} rows but graph has {g.n} vertices")
 
-    if g.n_edges == 0:
-        raise ValueError("graph has no edges; the Moran spectrum is undefined")
-    vals, vecs = moran_eigensystem(X, g)
-    std = vals * g.n / (2 * g.n_edges)
+    vals, std = moran_spectrum(X, g)
     write_table(
         args.spectrum_out,
         ["index", "eigenvalue", "standardized_eigenvalue"],
@@ -231,7 +228,7 @@ def _cmd_eigs(args, argv):
     print(f"spectrum: {vals.shape[0]} eigenvalues -> {args.spectrum_out}")
 
     if args.q is not None or args.threshold is not None:
-        mb = moran_basis(X, g, q=args.q, threshold=args.threshold, eigensystem=(vals, vecs))
+        mb = moran_basis(X, g, q=args.q, threshold=args.threshold)
         rule = f"q={args.q}" if args.q is not None else f"standardized eigenvalue > {args.threshold}"
         print(f"moran basis: {mb.q} columns ({rule})")
         if args.basis_out:

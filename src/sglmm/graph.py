@@ -40,10 +40,18 @@ class Graph:
     edges: tuple[tuple[int, int], ...]
     coords: np.ndarray | None = None
     degrees: np.ndarray = field(init=False, repr=False)
+    _adjacency: sp.csr_array = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        ends = np.asarray(self.edges, dtype=np.int64).reshape(-1)
-        object.__setattr__(self, "degrees", np.bincount(ends, minlength=self.n))
+        e = np.asarray(self.edges, dtype=np.int64).reshape(-1, 2)
+        object.__setattr__(self, "degrees", np.bincount(e.reshape(-1), minlength=self.n))
+        rows = np.concatenate([e[:, 0], e[:, 1]])
+        cols = np.concatenate([e[:, 1], e[:, 0]])
+        data = np.ones(rows.size, dtype=np.int64)
+        A = sp.csr_array((data, (rows, cols)), shape=(self.n, self.n))
+        for part in (A.data, A.indices, A.indptr):
+            part.flags.writeable = False  # shared by every caller
+        object.__setattr__(self, "_adjacency", A)
         if self.coords is not None:
             object.__setattr__(self, "coords", np.asarray(self.coords, dtype=float))
 
@@ -52,12 +60,8 @@ class Graph:
         return len(self.edges)
 
     def adjacency(self) -> sp.csr_array:
-        """Sparse symmetric 0/1 adjacency matrix A."""
-        e = np.asarray(self.edges, dtype=np.int64).reshape(-1, 2)
-        rows = np.concatenate([e[:, 0], e[:, 1]])
-        cols = np.concatenate([e[:, 1], e[:, 0]])
-        data = np.ones(rows.size, dtype=np.int64)
-        return sp.csr_array((data, (rows, cols)), shape=(self.n, self.n))
+        """Sparse symmetric 0/1 adjacency matrix A, built once; do not modify it."""
+        return self._adjacency
 
     def dense_adjacency(self) -> np.ndarray:
         """Dense float adjacency; for use inside spectral routines only."""

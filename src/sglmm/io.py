@@ -10,6 +10,7 @@ exactly, and unknown keys are rejected.
 from __future__ import annotations
 
 import csv
+import math
 
 import numpy as np
 
@@ -85,7 +86,7 @@ def read_table(path) -> Table:
                     raise ValueError(
                         f"{path}:{lineno}: field {names[j]!r} is not numeric: {cell!r}"
                     ) from None
-                if np.isnan(value):
+                if math.isnan(value):
                     raise ValueError(f"{path}:{lineno}: NaN in field {names[j]!r}")
                 data[j].append(value)
     return Table(names, {name: np.array(col) for name, col in zip(names, data)})

@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammaln
 
 from .basis import DesignMatrix, MoranBasis, RhzBasis
 from .graph import PrecisionMatrix
@@ -233,6 +232,8 @@ def log_likelihood(
         # z*eta - log(1 + e^eta), evaluated without overflow
         return float(np.sum(Z * eta - np.logaddexp(0.0, eta)))
     if spec.family == "poisson":
+        from scipy.special import gammaln
+
         # exp may overflow to inf for extreme eta; -inf is the right answer
         with np.errstate(over="ignore"):
             return float(np.sum(Z * eta - np.exp(eta) - gammaln(Z + 1.0)))

@@ -64,6 +64,7 @@ from .model import (
     linear_predictor,
     log_likelihood,
     log_prior,
+    validate_response,
 )
 
 __all__ = [
@@ -562,8 +563,14 @@ def fit(
     )
 
     eta = linear_predictor(spec, X, basis, state)
+    loglik = None if gaussian else _loglik_core(spec, Z, prior_only)
+    # log-likelihood at the current eta, kept in step with eta
+    ll = None if gaussian else loglik(eta)
     if not prior_only:
-        ll0 = log_likelihood(spec, Z, eta, state.sigma2)
+        # the core is finite iff the exact log-likelihood is, and spares a
+        # Poisson fit the import of scipy.special for its constant
+        validate_response(spec.family, Z)
+        ll0 = log_likelihood(spec, Z, eta, state.sigma2) if gaussian else ll
         lp0 = log_prior(spec, X, basis, state)
         if not np.isfinite(ll0 + lp0):
             raise ValueError(
@@ -586,9 +593,6 @@ def fit(
         mu = inverse_link(spec.family, eta)
         c = float(np.mean(mu * (1.0 - mu) if spec.family == "bernoulli" else mu))
 
-    loglik = None if gaussian else _loglik_core(spec, Z, prior_only)
-    # log-likelihood at the current eta, kept in step with eta
-    ll = None if gaussian else loglik(eta)
     site_ll = (
         _site_loglik_fn(spec, Z, prior_only)
         if (traditional and not gaussian)

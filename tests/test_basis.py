@@ -2,7 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 from scipy.spatial import Delaunay
 
@@ -22,6 +22,18 @@ from sglmm.simulate import lattice_design
 
 TWO_VERTEX = graph_from_edges(2, [(0, 1)])
 ONES_2 = np.ones((2, 1))
+
+
+@pytest.fixture
+def eigensolver(monkeypatch):
+    """Call with "dense" or "shift-invert" to force the solver of the leading pairs."""
+
+    def force(path):
+        monkeypatch.setattr(
+            basis_module, "_dense_eigpairs", lambda n, k: path == "dense" or k >= n - 1
+        )
+
+    return force
 
 
 def test_design_matrix_validates_rank():
@@ -378,11 +390,22 @@ def _full_eigh_reference(X, g):
     return op, vals[::-1], vecs[:, ::-1]
 
 
+def test_solver_rule():
+    # dense iff n <= max(500, 9 q), and never above 2500 vertices unless
+    # all but one pair are asked for
+    rule = basis_module._dense_eigpairs
+    assert rule(400, 1) and rule(500, 10)
+    assert not rule(900, 50) and rule(900, 100)
+    assert not rule(1600, 50) and rule(1600, 200)
+    assert not rule(2501, 1000) and rule(2501, 2500)
+
+
 @pytest.mark.parametrize("case", ["lattice-30x30", "delaunay-900", "islands-20x20"])
-def test_dense_moran_basis_matches_full_eigh(case):
-    # n <= 2500: the dense path computes only the pairs the rank rule keeps
-    # from the one buffer it builds P A P in; it must agree with every pair
-    # of a full eigh of an explicitly projected operator
+def test_dense_moran_basis_matches_full_eigh(case, eigensolver):
+    # the dense path computes only the pairs the rank rule keeps from the
+    # one buffer it builds P A P in; it must agree with every pair of a full
+    # eigh of an explicitly projected operator
+    eigensolver("dense")
     g, X = _dense_case(case)
     op, ref_vals, ref_vecs = _full_eigh_reference(X, g)
     size = np.abs(ref_vals).max()
@@ -406,20 +429,30 @@ def test_dense_moran_basis_matches_full_eigh(case):
     assert np.abs(by_threshold.eigenvalues - ref_vals[:q]).max() <= 1e-12 * size
 
 
-def test_dense_moran_basis_memory_is_one_n_by_n_buffer():
+def _traced_peak(*args, **kwargs) -> int:
+    moran_basis(*args, **kwargs)  # first call loads the solver wrappers
+    tracemalloc.start()
+    try:
+        moran_basis(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_dense_moran_basis_memory_is_one_n_by_n_buffer(eigensolver):
     # P A P is built in the buffer of the dense adjacency and the solver
     # writes only the q kept eigenvectors, so the traced peak stays near one
     # n x n float array (LAPACK's O(n) workspace aside)
+    eigensolver("dense")
     g = build_lattice(30, 30)
-    X = lattice_design(g)
-    moran_basis(X, g, q=50)  # first call loads the LAPACK wrappers
-    tracemalloc.start()
-    try:
-        moran_basis(X, g, q=50)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 1.5 * g.n**2 * 8
+    assert _traced_peak(lattice_design(g), g, q=50) < 1.5 * g.n**2 * 8
+
+
+def test_shift_invert_moran_basis_forms_no_n_by_n_matrix():
+    # at q = 50 on 40x40 the rule picks shift-invert Lanczos, whose memory
+    # is the sparse LU and O(n q) vectors: far below one n x n float array
+    g = build_lattice(40, 40)
+    assert _traced_peak(lattice_design(g), g, q=50) < 0.3 * g.n**2 * 8
 
 
 @st.composite
@@ -446,18 +479,22 @@ def _irregular_graphs(draw):
     return graph_from_edges(n, sorted(edges)), X, draw(st.integers(1, 12))
 
 
-@settings(max_examples=30, deadline=None, derandomize=True)
+# each example forces both solvers itself, so the shared fixture is safe
+@settings(
+    max_examples=30, deadline=None, derandomize=True,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
 @given(case=_irregular_graphs())
-def test_dense_and_shift_invert_moran_basis_agree(case):
+def test_dense_and_shift_invert_moran_basis_agree(case, eigensolver):
     g, X, q = case
     vals, _ = moran_spectrum(X, g)
     size = max(abs(vals[0]), 1.0)
     q = min(q, int(np.sum(vals > 1e-6 * size)))
     assume(q >= 1)
+    eigensolver("dense")
     dense = moran_basis(X, g, q=q)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(basis_module, "_DENSE_EIG_LIMIT", 0)
-        iterative = moran_basis(X, g, q=q)
+    eigensolver("shift-invert")
+    iterative = moran_basis(X, g, q=q)
     assert np.abs(iterative.eigenvalues - dense.eigenvalues).max() <= 1e-9 * size
     if vals[q - 1] - vals[q] > 1e-3 * size:
         gap = dense.M @ dense.M.T - iterative.M @ iterative.M.T

@@ -3,6 +3,8 @@ import os
 
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.sparse.linalg
 
 from sglmm.cli import CONFIG_KEYS, dispatch
 from sglmm.io import read_config, read_table, write_table
@@ -169,6 +171,28 @@ def test_eigs_spectrum_and_threshold_basis(sim_dir, tmp_path):
     basis = read_table(basis_out)
     assert basis.n_rows == 64
     assert len(basis.names) == int(np.sum(std > 0.5))
+
+
+def test_eigs_without_rank_rule_computes_no_eigenvectors(sim_dir, tmp_path, monkeypatch):
+    calls = []
+    eigh = scipy.linalg.eigh
+
+    def recording_eigh(*args, **kwargs):
+        calls.append(kwargs.get("eigvals_only", False))
+        return eigh(*args, **kwargs)
+
+    def no_eigsh(*args, **kwargs):
+        raise AssertionError("eigsh computes eigenvectors")
+
+    monkeypatch.setattr(scipy.linalg, "eigh", recording_eigh)
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", no_eigsh)
+    code = run(
+        ["eigs", "--graph", sim_dir / "toy_graph.edges", "--design", sim_dir / "toy_data.csv",
+         "--covariates", "x,y", "--spectrum-out", tmp_path / "s.csv"]
+    )
+    assert code == 0
+    assert calls == [True]
+    assert read_table(tmp_path / "s.csv").n_rows == 64
 
 
 def test_eigs_edgeless_graph_rejected(tmp_path):
