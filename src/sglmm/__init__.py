@@ -19,7 +19,6 @@ from .basis import (
     moran_eigensystem,
     moran_operator,
     moran_spectrum,
-    projection_complement,
     reduced_precision,
     rhz_basis,
 )
@@ -76,7 +75,6 @@ __all__ = [
     "DesignMatrix",
     "MoranBasis",
     "RhzBasis",
-    "projection_complement",
     "moran_operator",
     "moran_spectrum",
     "moran_eigensystem",

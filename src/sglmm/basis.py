@@ -35,7 +35,6 @@ __all__ = [
     "DesignMatrix",
     "MoranBasis",
     "RhzBasis",
-    "projection_complement",
     "moran_operator",
     "moran_spectrum",
     "moran_eigensystem",
@@ -170,17 +169,6 @@ def _fix_signs(V: np.ndarray) -> np.ndarray:
         if nz.size and col[nz[0]] < 0:
             V[:, j] = -col
     return V
-
-
-def projection_complement(X) -> np.ndarray:
-    """Projection onto the orthogonal complement of span(X).
-
-    Returns the dense symmetric idempotent matrix I - X (X'X)^{-1} X',
-    computed from an orthonormal basis of span(X) for stability.
-    """
-    U = _orthonormal_range(_as_array(X))
-    P_perp = np.eye(U.shape[0]) - U @ U.T
-    return (P_perp + P_perp.T) / 2.0
 
 
 def _moran_triangle(X, g: Graph, source: str = "adjacency") -> np.ndarray:

@@ -23,6 +23,7 @@ import hashlib
 import json
 import sys
 import time
+from dataclasses import fields
 
 import numpy as np
 
@@ -38,33 +39,23 @@ from .graph import (
     write_edge_list,
 )
 from .io import read_config, read_table, write_table
-from .model import FAMILIES, PARAMETERIZATIONS, Dataset, ModelSpec, PriorSet, inverse_link
+from .model import (
+    FAMILIES,
+    PARAMETERIZATIONS,
+    Dataset,
+    ModelSpec,
+    PriorSet,
+    effect_basis,
+    inverse_link,
+)
 from .sampler import Chain, McmcConfig, fit as run_mcmc
 from .simulate import PRESETS, simulate_dataset
 from .summary import fitted_surface, error_norm, summarize_chain, summarize_draws
 
-_SPEC_KEYS = (
-    "family",
-    "parameterization",
-    "q",
-    "beta_variance",
-    "tau_shape",
-    "tau_scale",
-    "sigma2_shape",
-    "sigma2_rate",
+# the model's own settings, then one key per field of PriorSet and McmcConfig
+CONFIG_KEYS = ("family", "parameterization", "q") + tuple(
+    f.name for cls in (PriorSet, McmcConfig) for f in fields(cls)
 )
-_MCMC_KEYS = (
-    "iterations",
-    "burn_in",
-    "thin",
-    "seed",
-    "adapt",
-    "target_accept_multivariate",
-    "target_accept_univariate",
-    "initial_step_sizes",
-)
-CONFIG_KEYS = _SPEC_KEYS + _MCMC_KEYS
-
 
 
 def _parse_bool(value: str) -> bool:
@@ -77,42 +68,39 @@ def _parse_bool(value: str) -> bool:
 
 
 def _parse_steps(value: str) -> dict:
+    """'beta:1.5,site:2' -> {'beta': 1.5, 'site': 2.0}; McmcConfig checks the blocks."""
     out = {}
     for part in value.split(","):
         name, _, num = part.partition(":")
-        name = name.strip()
-        if name not in ("beta", "effects", "site"):
-            raise ValueError(
-                f"unknown step-size block {name!r}; allowed: beta, effects, site"
-            )
-        out[name] = float(num)
+        out[name.strip()] = float(num)
     return out
 
 
+def _from_settings(cls, settings: dict):
+    """cls from the settings that name its fields, each converted like its
+    default; the fields not named keep their defaults."""
+    values = {}
+    for f in fields(cls):
+        value = settings.get(f.name)
+        if value is None:
+            continue
+        if isinstance(f.default, bool):
+            value = _parse_bool(value) if isinstance(value, str) else bool(value)
+        elif f.default is None:  # initial_step_sizes
+            value = _parse_steps(value) if isinstance(value, str) else value
+        else:
+            value = type(f.default)(value)
+        values[f.name] = value
+    return cls(**values)
+
+
 def _spec_from_settings(settings: dict, offset=None) -> ModelSpec:
-    family = settings.get("family")
-    if family not in FAMILIES:
-        raise ValueError(
-            f"family must be one of {', '.join(FAMILIES)}; got {family!r}"
-        )
-    parameterization = settings.get("parameterization")
-    if parameterization not in PARAMETERIZATIONS:
-        raise ValueError(
-            f"model must be one of {', '.join(PARAMETERIZATIONS)}; got {parameterization!r}"
-        )
-    priors = PriorSet(
-        beta_variance=float(settings.get("beta_variance", 100.0)),
-        tau_shape=float(settings.get("tau_shape", 0.5)),
-        tau_scale=float(settings.get("tau_scale", 2000.0)),
-        sigma2_shape=float(settings.get("sigma2_shape", 0.001)),
-        sigma2_rate=float(settings.get("sigma2_rate", 0.001)),
-    )
     q = settings.get("q")
     return ModelSpec(
-        family=family,
-        parameterization=parameterization,
+        family=settings.get("family"),
+        parameterization=settings.get("parameterization"),
         q=int(q) if q is not None else None,
-        priors=priors,
+        priors=_from_settings(PriorSet, settings),
         offset=offset,
     )
 
@@ -120,23 +108,7 @@ def _spec_from_settings(settings: dict, offset=None) -> ModelSpec:
 def _mcmc_from_settings(settings: dict) -> McmcConfig:
     if settings.get("seed") is None:
         raise ValueError("an explicit seed is required (pass --seed)")
-    steps = settings.get("initial_step_sizes")
-    if isinstance(steps, str):
-        steps = _parse_steps(steps)
-    return McmcConfig(
-        iterations=int(settings.get("iterations", 100_000)),
-        burn_in=int(settings.get("burn_in", 10_000)),
-        thin=int(settings.get("thin", 10)),
-        seed=int(settings["seed"]),
-        adapt=(
-            _parse_bool(settings["adapt"])
-            if isinstance(settings.get("adapt"), str)
-            else bool(settings.get("adapt", True))
-        ),
-        target_accept_multivariate=float(settings.get("target_accept_multivariate", 0.234)),
-        target_accept_univariate=float(settings.get("target_accept_univariate", 0.44)),
-        initial_step_sizes=steps,
-    )
+    return _from_settings(McmcConfig, settings)
 
 
 def _versions() -> dict:
@@ -372,7 +344,8 @@ def _cmd_fit(args, argv):
     data = Dataset(X=X, Z=Z)
     prefix = args.out_prefix
 
-    if spec.parameterization == "nonspatial":
+    basis = _build_basis(spec.parameterization, X, g, spec.q)
+    if basis is None:
         glm = irls_fit(spec.family, X, Z, offset=offset)
         eta = X.X @ glm.beta_hat
         if offset is not None:
@@ -398,7 +371,6 @@ def _cmd_fit(args, argv):
         return 0
 
     cfg = _mcmc_from_settings(settings)
-    basis = _build_basis(spec.parameterization, X, g, spec.q)
     n_chains = args.chains
     chains = []
     if n_chains == 1:
@@ -524,8 +496,8 @@ def _cmd_reproduce(args, argv):
 def _reproduce_family(family, seed_seq, args):
     child = seed_seq.generate_state(2)
     sim_seed, fit_seed = int(child[0]), int(child[1])
-    tau_true = 3.0 if family == "poisson" else 1.0
-    sigma2_true = 1.0 if family == "gaussian" else None
+    # the true tau and sigma2 of the family's simulation preset
+    tau_true, sigma2_true = next(p[3:5] for p in PRESETS.values() if p[5] == family)
     print(
         f"\n[{family}] simulating {args.rows}x{args.cols} lattice, "
         f"q_true={args.q_true}, tau={tau_true}"
@@ -573,10 +545,10 @@ def _reproduce_family(family, seed_seq, args):
     ]
     for model, q in model_specs:
         label = model if q is None else f"{model}-{q}"
-        dim = {"traditional": g.n, "rhz": g.n - sim.X.p}.get(model, q)
-        print(f"[{family}] fitting {label} (dim {dim}) ...", flush=True)
         spec = ModelSpec(family=family, parameterization=model, q=q)
         basis = _build_basis(model, sim.X, g, q)
+        dim = effect_basis(spec, basis).k
+        print(f"[{family}] fitting {label} (dim {dim}) ...", flush=True)
         cfg = McmcConfig(
             iterations=args.iterations, burn_in=args.burn_in, thin=args.thin, seed=fit_seed
         )

@@ -13,9 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import DesignMatrix
-from .model import inverse_link, validate_response
+from .model import FAMILY
 
-__all__ = ["GlmFit", "irls_fit", "glm_log_likelihood", "glm_gradient"]
+__all__ = ["GlmFit", "irls_fit"]
 
 _MAX_ITER = 100
 _TOL = 1e-8
@@ -45,30 +45,6 @@ def _eta(X: np.ndarray, beta: np.ndarray, log_offset: np.ndarray | None) -> np.n
     return eta
 
 
-def glm_log_likelihood(family, X, Z, beta, offset=None, sigma2=1.0) -> float:
-    """GLM log likelihood at beta (Gaussian part up to the variance profile)."""
-    log_off = None if offset is None else np.log(np.asarray(offset, dtype=float))
-    eta = _eta(np.asarray(X, dtype=float), beta, log_off)
-    Z = np.asarray(Z, dtype=float)
-    if family == "bernoulli":
-        return float(np.sum(Z * eta - np.logaddexp(0.0, eta)))
-    if family == "poisson":
-        from scipy.special import gammaln
-
-        return float(np.sum(Z * eta - np.exp(eta) - gammaln(Z + 1.0)))
-    resid = Z - eta
-    n = Z.shape[0]
-    return float(-0.5 * n * np.log(2 * np.pi * sigma2) - 0.5 * (resid @ resid) / sigma2)
-
-
-def glm_gradient(family, X, Z, beta, offset=None) -> np.ndarray:
-    """Score X'(Z - mu); exact for canonical links (Gaussian: unit variance)."""
-    Xa = np.asarray(X, dtype=float)
-    log_off = None if offset is None else np.log(np.asarray(offset, dtype=float))
-    mu = inverse_link(family, _eta(Xa, beta, log_off))
-    return Xa.T @ (np.asarray(Z, dtype=float) - mu)
-
-
 def irls_fit(family: str, X, Z, offset=None) -> GlmFit:
     """Maximize the GLM likelihood by Fisher scoring.
 
@@ -82,9 +58,10 @@ def irls_fit(family: str, X, Z, offset=None) -> GlmFit:
     else:
         Xa = np.asarray(X, dtype=float)
         DesignMatrix(Xa)  # full-rank validation
+    fam = FAMILY[family]
     Z = np.asarray(Z, dtype=float)
-    validate_response(family, Z)
-    if offset is not None and family != "poisson":
+    fam.check(Z)
+    if offset is not None and not fam.allows_offset:
         raise ValueError("offsets are supported for the poisson family only")
     log_off = None if offset is None else np.log(np.asarray(offset, dtype=float))
 
@@ -96,17 +73,13 @@ def irls_fit(family: str, X, Z, offset=None) -> GlmFit:
 
     for iterations in range(1, _MAX_ITER + 1):
         eta = _eta(Xa, beta, log_off)
-        mu = inverse_link(family, eta)
-        if family == "bernoulli":
-            # floor keeps the weighted system formally nonsingular under
-            # separation so divergence surfaces as non-convergence instead
-            w = np.maximum(mu * (1.0 - mu), 1e-10)
-        elif family == "poisson":
-            w = np.maximum(mu, 1e-10)
-        else:
-            w = np.ones(n)
-        # working response on the linear scale, offset removed
-        if family == "gaussian":
+        mu = fam.mean(eta)
+        # floor keeps the weighted system formally nonsingular under
+        # separation so divergence surfaces as non-convergence instead
+        w = np.maximum(fam.weight(mu), 1e-10)
+        # working response on the linear scale, offset removed; under the
+        # Gaussian family's identity link it is Z itself
+        if fam.has_sigma2:
             z_work = Z
         else:
             with np.errstate(divide="ignore", invalid="ignore"):
@@ -130,17 +103,11 @@ def irls_fit(family: str, X, Z, offset=None) -> GlmFit:
             break
 
     eta = _eta(Xa, beta, log_off)
-    mu = inverse_link(family, eta)
     sigma2_hat = None
-    if family == "bernoulli":
-        w = mu * (1.0 - mu)
-    elif family == "poisson":
-        w = mu
-    else:
-        w = np.ones(n)
+    if fam.has_sigma2:
         resid = Z - eta
         sigma2_hat = float(resid @ resid) / (n - p)
-    info = (Xa.T * w) @ Xa
+    info = (Xa.T * fam.weight(fam.mean(eta))) @ Xa
     try:
         cov = np.linalg.inv(info)
     except np.linalg.LinAlgError:

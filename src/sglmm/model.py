@@ -1,21 +1,30 @@
 """Model specification and exact log-density evaluation.
 
-Declares the first-stage family (Bernoulli, Poisson, Gaussian, each with its
-canonical link), the random-effect parameterization (nonspatial,
-traditional, rhz, sparse), the prior set, and an optional multiplicative
-exposure offset for Poisson counts. The samplers evaluate posteriors
-exclusively through ``linear_predictor``, ``log_likelihood``, and
-``log_prior``.
+Every parameterization is one model: eta = X beta + B delta (+ log offset),
+with a canonical-link first stage and the CAR prior
+tau^{k/2} exp(-tau/2 delta' Q_B delta) on the effects. Two objects carry
+the choices the specification makes:
 
-Parameter-free normalizing constants are retained where cheap; what matters
-is that log-density differences between states are constant-free, and the
-tau exponent of the CAR prior is rank(Q)/2, (n-p)/2, or q/2 depending on
-the parameterization.
+* ``Family``, one per entry of ``FAMILY`` (Bernoulli, Poisson, Gaussian):
+  the response check, the inverse link, the Fisher (IRLS) weight, the
+  log-likelihood in total and per-site form up to a data-only constant, that
+  constant, and the response draw.
+* ``EffectBasis``, from ``effect_basis``: the loading B (None for the
+  identity of the traditional model, L for rhz, M for sparse), the reduced
+  precision Q_B and the tau exponent k = rank(Q), n - p or q. Nonspatial
+  models have none.
+
+``linear_predictor``, ``log_likelihood`` and ``log_prior`` evaluate the
+exact posterior from these objects, and the samplers, IRLS and the fitted
+surface bind the same objects once per chain or call. Parameter-free
+normalizing constants are retained where cheap; what matters is that
+log-density differences between states are constant-free.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -23,27 +32,186 @@ from .basis import DesignMatrix, MoranBasis, RhzBasis
 from .graph import PrecisionMatrix
 
 __all__ = [
+    "FAMILY",
     "FAMILIES",
     "PARAMETERIZATIONS",
     "CANONICAL_LINKS",
+    "Family",
+    "EffectBasis",
     "PriorSet",
     "ModelSpec",
     "ParameterState",
     "Dataset",
+    "effect_basis",
     "inverse_link",
     "linear_predictor",
     "log_likelihood",
     "log_prior",
-    "effect_dimension",
     "car_exponent_dimension",
     "car_precision",
 ]
 
-FAMILIES = ("bernoulli", "poisson", "gaussian")
-PARAMETERIZATIONS = ("nonspatial", "traditional", "rhz", "sparse")
-CANONICAL_LINKS = {"bernoulli": "logit", "poisson": "log", "gaussian": "identity"}
-
 _LOG_2PI = np.log(2.0 * np.pi)
+
+
+def _check_binary(Z):
+    bad = ~np.isin(Z, (0, 1))
+    if np.any(bad):
+        i = int(np.argmax(bad))
+        raise ValueError(f"bernoulli responses must be 0/1; entry {i} is {Z[i]}")
+
+
+def _check_counts(Z):
+    bad = (Z < 0) | (Z != np.floor(Z))
+    if np.any(bad):
+        i = int(np.argmax(bad))
+        raise ValueError(f"poisson responses must be nonnegative integers; entry {i} is {Z[i]}")
+
+
+def _check_finite(Z):
+    bad = ~np.isfinite(Z)
+    if np.any(bad):
+        raise ValueError(f"gaussian responses must be finite; entry {int(np.argmax(bad))} is not")
+
+
+def _expit(eta):
+    """1 / (1 + e^-eta), stable for large |eta|."""
+    out = np.empty_like(eta, dtype=float)
+    pos = eta >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-eta[pos]))
+    ex = np.exp(eta[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def _softplus_terms(eta):
+    """max(eta, 0) and log1p(e^-|eta|), whose sum is log(1 + e^eta).
+
+    Stable, and cheaper than np.logaddexp(0, eta). The total log-likelihood
+    sums each term on its own: the chain's acceptance probabilities steer
+    the step-size adaptation, so the order of the sums fixes the seeded
+    draws.
+    """
+    return np.maximum(eta, 0.0), np.log1p(np.exp(-np.abs(eta)))
+
+
+def _bernoulli_loglik(Z, eta, sigma2=None):
+    pos, tail = _softplus_terms(eta)
+    return float(Z @ eta - pos.sum() - tail.sum())
+
+
+def _bernoulli_sites(Z, eta, sigma2=None):
+    pos, tail = _softplus_terms(eta)
+    return Z * eta - pos - tail
+
+
+def _poisson_loglik(Z, eta, sigma2=None):
+    # exp may overflow to inf for extreme eta; -inf is the right answer
+    with np.errstate(over="ignore"):
+        return float(Z @ eta - np.exp(eta).sum())
+
+
+def _poisson_constant(Z):
+    # imported here: a Poisson chain never needs the constant
+    from scipy.special import gammaln
+
+    return -float(gammaln(Z + 1.0).sum())
+
+
+def _gaussian_loglik(Z, eta, sigma2):
+    resid = Z - eta
+    return float(-0.5 * Z.shape[0] * np.log(sigma2) - 0.5 * (resid @ resid) / sigma2)
+
+
+def _gaussian_sites(Z, eta, sigma2):
+    return -0.5 * np.log(sigma2) - 0.5 * (Z - eta) ** 2 / sigma2
+
+
+def _gaussian_draw(rng, mu, sigma2):
+    if sigma2 is None or sigma2 <= 0:
+        raise ValueError("gaussian simulation requires sigma2 > 0")
+    return mu + np.sqrt(sigma2) * rng.standard_normal(mu.shape[0])
+
+
+@dataclass(frozen=True)
+class Family:
+    """A first-stage family with its canonical link.
+
+    ``check(Z)`` raises ValueError naming the first invalid response, and
+    ``mean(eta)`` is the inverse link. ``loglik(Z, eta, sigma2)`` is the log
+    density of Z summed over sites, up to the data-only ``constant(Z)``;
+    ``site_loglik`` returns its per-site terms. Only a family with
+    ``has_sigma2`` (Gaussian: identity link, noise variance sigma2,
+    all-Gibbs chain) reads sigma2. ``weight(mu)`` is the Fisher information
+    per site on the linear scale, the IRLS weight. ``draw(rng, mu, sigma2)``
+    draws responses with mean mu. ``allows_offset`` says whether the family
+    takes an exposure offset.
+    """
+
+    name: str
+    link: str
+    check: Callable
+    mean: Callable
+    weight: Callable
+    loglik: Callable
+    site_loglik: Callable
+    constant: Callable
+    draw: Callable
+    has_sigma2: bool = False
+    allows_offset: bool = False
+
+
+FAMILY = {
+    fam.name: fam
+    for fam in (
+        Family(
+            name="bernoulli",
+            link="logit",
+            check=_check_binary,
+            mean=_expit,
+            weight=lambda mu: mu * (1.0 - mu),
+            loglik=_bernoulli_loglik,
+            site_loglik=_bernoulli_sites,
+            constant=lambda Z: 0.0,
+            draw=lambda rng, mu, sigma2: rng.binomial(1, mu).astype(float),
+        ),
+        Family(
+            name="poisson",
+            link="log",
+            check=_check_counts,
+            mean=np.exp,
+            weight=lambda mu: mu,
+            loglik=_poisson_loglik,
+            site_loglik=lambda Z, eta, sigma2=None: Z * eta - np.exp(eta),
+            constant=_poisson_constant,
+            draw=lambda rng, mu, sigma2: rng.poisson(mu).astype(float),
+            allows_offset=True,
+        ),
+        Family(
+            name="gaussian",
+            link="identity",
+            check=_check_finite,
+            mean=lambda eta: np.asarray(eta, dtype=float),
+            weight=np.ones_like,
+            loglik=_gaussian_loglik,
+            site_loglik=_gaussian_sites,
+            constant=lambda Z: -0.5 * Z.shape[0] * _LOG_2PI,
+            draw=_gaussian_draw,
+            has_sigma2=True,
+        ),
+    )
+}
+FAMILIES = tuple(FAMILY)
+CANONICAL_LINKS = {name: fam.link for name, fam in FAMILY.items()}
+
+# parameterization -> (type of its basis object, that type with its article)
+_BASES = {
+    "nonspatial": (type(None), "basis=None"),
+    "traditional": (PrecisionMatrix, "a PrecisionMatrix"),
+    "rhz": (RhzBasis, "an RhzBasis"),
+    "sparse": (MoranBasis, "a MoranBasis"),
+}
+PARAMETERIZATIONS = tuple(_BASES)
 
 
 @dataclass(frozen=True)
@@ -96,13 +264,57 @@ class ModelSpec:
         elif self.q is not None:
             raise ValueError("q is only meaningful for the sparse parameterization")
         if self.offset is not None:
-            if self.family != "poisson":
+            if not FAMILY[self.family].allows_offset:
                 raise ValueError("offsets are supported for the poisson family only")
             off = np.asarray(self.offset, dtype=float)
             if np.any(off <= 0):
                 bad = int(np.argmax(off <= 0))
                 raise ValueError(f"offset entries must be positive; entry {bad} is {off[bad]}")
             object.__setattr__(self, "offset", off)
+
+
+@dataclass(frozen=True)
+class EffectBasis:
+    """Loading and CAR prior of the effects: eta = X beta + B delta.
+
+    B is None for the identity (traditional), L (rhz) or M (sparse), each
+    with orthonormal columns. The prior is tau^{car_rank/2}
+    exp(-tau/2 delta' Q_B delta); Q_B is sparse for the traditional model
+    and dense otherwise.
+    """
+
+    B: np.ndarray | None
+    Q_B: object
+    car_rank: int
+
+    @property
+    def k(self) -> int:
+        """Length of the effect vector delta."""
+        return self.Q_B.shape[0]
+
+
+def effect_basis(spec: ModelSpec, basis) -> EffectBasis | None:
+    """The EffectBasis of the parameterization, None for nonspatial models.
+
+    ``basis`` is None (nonspatial), a PrecisionMatrix (traditional), an
+    RhzBasis (rhz) or a MoranBasis with the model's q columns (sparse). The
+    tau exponent is rank(Q), n - p (the columns of L) or q.
+    """
+    kind, wanted = _BASES[spec.parameterization]
+    if not isinstance(basis, kind):
+        raise ValueError(
+            f"{spec.parameterization} parameterization requires {wanted}, "
+            f"got {type(basis).__name__}"
+        )
+    if basis is None:
+        return None
+    if spec.parameterization == "traditional":
+        return EffectBasis(None, basis.Q, basis.rank)
+    if spec.parameterization == "rhz":
+        return EffectBasis(basis.L, basis.Q_R, basis.k)
+    if basis.q != spec.q:
+        raise ValueError(f"basis has q={basis.q} but the model specifies q={spec.q}")
+    return EffectBasis(basis.M, basis.Q_S, basis.q)
 
 
 @dataclass
@@ -141,151 +353,55 @@ class Dataset:
         object.__setattr__(self, "Z", Z)
 
 
-def effect_dimension(spec: ModelSpec, X: DesignMatrix, basis) -> int:
-    """Length of the random-effect vector under the given parameterization."""
-    if spec.parameterization == "nonspatial":
-        return 0
-    if spec.parameterization == "traditional":
-        return X.n
-    if spec.parameterization == "rhz":
-        return X.n - X.p
-    return spec.q
-
-
-def _effect_loading(spec: ModelSpec, basis) -> np.ndarray | None:
-    """Matrix B with eta = X beta + B theta; None means B = I (traditional)."""
-    if spec.parameterization in ("nonspatial", "traditional"):
-        return None
-    if spec.parameterization == "rhz":
-        if not isinstance(basis, RhzBasis):
-            raise ValueError("rhz parameterization requires an RhzBasis")
-        return basis.L
-    if not isinstance(basis, MoranBasis):
-        raise ValueError("sparse parameterization requires a MoranBasis")
-    if basis.q != spec.q:
-        raise ValueError(f"basis has q={basis.q} but the model specifies q={spec.q}")
-    return basis.M
-
-
 def linear_predictor(
     spec: ModelSpec, X: DesignMatrix, basis, state: ParameterState
 ) -> np.ndarray:
     """eta = X beta + B theta (+ log offset), with B = I, L, or M."""
     if state.beta.shape != (X.p,):
         raise ValueError(f"beta must have length {X.p}, got {state.beta.shape}")
-    k = effect_dimension(spec, X, basis)
+    eb = effect_basis(spec, basis)
+    k = 0 if eb is None else eb.k
     if state.effects.shape != (k,):
         raise ValueError(f"effects must have length {k}, got {state.effects.shape}")
     eta = X.X @ state.beta
     if k:
-        B = _effect_loading(spec, basis)
-        eta = eta + (state.effects if B is None else B @ state.effects)
+        eta = eta + (state.effects if eb.B is None else eb.B @ state.effects)
     if spec.offset is not None:
         eta = eta + np.log(spec.offset)
     return eta
 
 
 def validate_response(family: str, Z: np.ndarray) -> None:
-    Z = np.asarray(Z)
-    if family == "bernoulli":
-        bad = ~np.isin(Z, (0, 1))
-        if np.any(bad):
-            raise ValueError(
-                f"bernoulli responses must be 0/1; entry {int(np.argmax(bad))} is {Z[np.argmax(bad)]}"
-            )
-    elif family == "poisson":
-        bad = (Z < 0) | (Z != np.floor(Z))
-        if np.any(bad):
-            raise ValueError(
-                f"poisson responses must be nonnegative integers; "
-                f"entry {int(np.argmax(bad))} is {Z[np.argmax(bad)]}"
-            )
-    else:
-        if not np.all(np.isfinite(Z)):
-            raise ValueError(
-                f"gaussian responses must be finite; entry {int(np.argmax(~np.isfinite(Z)))} is not"
-            )
+    FAMILY[family].check(np.asarray(Z))
 
 
 def inverse_link(family: str, eta: np.ndarray) -> np.ndarray:
     """Mean response g^{-1}(eta) for the family's canonical link."""
-    if family == "bernoulli":
-        # expit, stable for large |eta|
-        out = np.empty_like(eta, dtype=float)
-        pos = eta >= 0
-        out[pos] = 1.0 / (1.0 + np.exp(-eta[pos]))
-        ex = np.exp(eta[~pos])
-        out[~pos] = ex / (1.0 + ex)
-        return out
-    if family == "poisson":
-        return np.exp(eta)
-    return np.asarray(eta, dtype=float)
+    return FAMILY[family].mean(eta)
 
 
 def log_likelihood(
     spec: ModelSpec, Z: np.ndarray, eta: np.ndarray, sigma2: float | None = None
 ) -> float:
     """Exact log density of Z given the linear predictor, summed over sites."""
+    fam = FAMILY[spec.family]
     Z = np.asarray(Z, dtype=float)
-    validate_response(spec.family, Z)
-    if spec.family == "bernoulli":
-        # z*eta - log(1 + e^eta), evaluated without overflow
-        return float(np.sum(Z * eta - np.logaddexp(0.0, eta)))
-    if spec.family == "poisson":
-        from scipy.special import gammaln
-
-        # exp may overflow to inf for extreme eta; -inf is the right answer
-        with np.errstate(over="ignore"):
-            return float(np.sum(Z * eta - np.exp(eta) - gammaln(Z + 1.0)))
-    if sigma2 is None or sigma2 <= 0:
+    fam.check(Z)
+    if fam.has_sigma2 and (sigma2 is None or sigma2 <= 0):
         raise ValueError("gaussian log-likelihood requires sigma2 > 0")
-    resid = Z - eta
-    n = Z.shape[0]
-    return float(-0.5 * n * (_LOG_2PI + np.log(sigma2)) - 0.5 * (resid @ resid) / sigma2)
+    return fam.loglik(Z, np.asarray(eta, dtype=float), sigma2) + fam.constant(Z)
 
 
 def car_exponent_dimension(spec: ModelSpec, X: DesignMatrix, basis) -> int:
-    """Exponent dimension k in the CAR prior factor tau^{k/2}."""
-    if spec.parameterization == "nonspatial":
-        return 0
-    if spec.parameterization == "traditional":
-        if not isinstance(basis, PrecisionMatrix):
-            raise ValueError("traditional parameterization requires a PrecisionMatrix")
-        return basis.rank
-    if spec.parameterization == "rhz":
-        return X.n - X.p
-    return spec.q
-
-
-def validate_basis(spec: ModelSpec, basis) -> None:
-    """Check that the supplied basis object matches the parameterization."""
-    expected = {
-        "traditional": PrecisionMatrix,
-        "rhz": RhzBasis,
-        "sparse": MoranBasis,
-    }.get(spec.parameterization)
-    if expected is None:
-        if basis is not None:
-            raise ValueError("nonspatial models take basis=None")
-        return
-    if not isinstance(basis, expected):
-        article = "an" if expected.__name__[0] in "AEIOUR" else "a"
-        raise ValueError(
-            f"{spec.parameterization} parameterization requires "
-            f"{article} {expected.__name__}, got {type(basis).__name__}"
-        )
+    """Exponent dimension k in the CAR prior factor tau^{k/2}; X is not read."""
+    eb = effect_basis(spec, basis)
+    return 0 if eb is None else eb.car_rank
 
 
 def car_precision(spec: ModelSpec, basis):
     """The (possibly reduced) precision entering the CAR quadratic form."""
-    validate_basis(spec, basis)
-    if spec.parameterization == "traditional":
-        return basis.Q
-    if spec.parameterization == "rhz":
-        return basis.Q_R
-    if spec.parameterization == "sparse":
-        return basis.Q_S
-    return None
+    eb = effect_basis(spec, basis)
+    return None if eb is None else eb.Q_B
 
 
 def log_prior(spec: ModelSpec, X: DesignMatrix, basis, state: ParameterState) -> float:
@@ -301,16 +417,13 @@ def log_prior(spec: ModelSpec, X: DesignMatrix, basis, state: ParameterState) ->
     total = -0.5 * float(state.beta @ state.beta) / pr.beta_variance
     total += -0.5 * X.p * np.log(pr.beta_variance)
 
-    k = car_exponent_dimension(spec, X, basis)
-    if k:
-        Q_B = car_precision(spec, basis)
-        quad = float(state.effects @ (Q_B @ state.effects))
-        total += 0.5 * k * np.log(state.tau) - 0.5 * state.tau * quad
-
-    if spec.parameterization != "nonspatial":
+    eb = effect_basis(spec, basis)
+    if eb is not None:
+        quad = float(state.effects @ (eb.Q_B @ state.effects))
+        total += 0.5 * eb.car_rank * np.log(state.tau) - 0.5 * state.tau * quad
         total += (pr.tau_shape - 1.0) * np.log(state.tau) - state.tau / pr.tau_scale
 
-    if spec.family == "gaussian":
+    if FAMILY[spec.family].has_sigma2:
         if state.sigma2 is None or state.sigma2 <= 0:
             raise ValueError("gaussian models require sigma2 > 0 in the state")
         total += (

@@ -9,6 +9,11 @@ Kernel schedule, following the update order beta, effects, tau, sigma2:
   (traditional); Gibbs for tau.
 * Gaussian: Gibbs updates for every parameter.
 
+The driver reads the model from two objects of ``model`` and never from the
+names in the spec: the ``EffectBasis`` (loading B, reduced precision Q_B,
+tau exponent) and the ``Family`` (log-likelihood and its per-site terms,
+inverse link, IRLS weight), whose functions it binds once per chain.
+
 Every loading B has orthonormal columns (B = I for the traditional model).
 Except in the site sweep, the CAR precision is diagonalized once per chain,
 Q_B = V diag(lam) V', and the chain runs in the coordinates y = V' delta
@@ -46,6 +51,7 @@ import math
 import os
 import time
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 import scipy.linalg
@@ -54,17 +60,14 @@ import scipy.sparse as sp
 from .glm import GlmFit, irls_fit
 from .graph import Graph
 from .model import (
+    FAMILY,
     Dataset,
     ModelSpec,
     ParameterState,
-    car_exponent_dimension,
-    car_precision,
-    effect_dimension,
-    inverse_link,
+    effect_basis,
     linear_predictor,
     log_likelihood,
     log_prior,
-    validate_response,
 )
 
 __all__ = [
@@ -83,6 +86,8 @@ __all__ = [
 
 _STEP_FLOOR = 1e-8
 _STEP_CAP = 1e8
+# the adapted blocks and their default initial steps
+_DEFAULT_STEPS = {"beta": 1.0, "effects": 0.3, "site": 2.4}
 
 
 @dataclass(frozen=True)
@@ -90,7 +95,8 @@ class McmcConfig:
     """Chain length, seed, and adaptation settings.
 
     ``initial_step_sizes`` maps block names ('beta', 'effects', 'site') to
-    starting proposal scales; missing blocks get defaults. The 'beta' step
+    nonnegative starting proposal scales; missing blocks get defaults, and
+    both acceptance targets must lie in (0, 1). The 'beta' step
     multiplies the Cholesky factor of the IRLS covariance. The 'effects'
     and 'site' steps multiply the conditional scale (c + tau lam)^{-1/2}
     (see the module docstring), so they are in units of conditional
@@ -114,11 +120,22 @@ class McmcConfig:
             raise ValueError("burn_in must be smaller than iterations")
         if self.thin < 1:
             raise ValueError("thin must be >= 1")
+        for name in ("target_accept_multivariate", "target_accept_univariate"):
+            if not 0.0 < getattr(self, name) < 1.0:
+                raise ValueError(f"{name} must be in (0, 1), got {getattr(self, name)}")
+        for block, step in (self.initial_step_sizes or {}).items():
+            if block not in _DEFAULT_STEPS:
+                raise ValueError(
+                    f"initial_step_sizes: unknown block {block!r}; "
+                    f"allowed: {', '.join(_DEFAULT_STEPS)}"
+                )
+            # 0 is floored to _STEP_FLOOR by step_size
+            if not step >= 0.0:
+                raise ValueError(f"initial_step_sizes: {block} step must be >= 0, got {step}")
 
     def step_size(self, block: str) -> float:
-        defaults = {"beta": 1.0, "effects": 0.3, "site": 2.4}
         sizes = self.initial_step_sizes or {}
-        return max(float(sizes.get(block, defaults[block])), _STEP_FLOOR)
+        return max(float(sizes.get(block, _DEFAULT_STEPS[block])), _STEP_FLOOR)
 
 
 @dataclass
@@ -159,17 +176,20 @@ class Chain:
 
 def color_classes(g: Graph) -> list:
     """Greedy coloring: classes of mutually non-adjacent vertex indices."""
-    adj = [[] for _ in range(g.n)]
-    for i, j in g.edges:
-        adj[i].append(j)
-        adj[j].append(i)
-    return _greedy_classes(adj, g.n)
+    return _greedy_classes(g.adjacency())
 
 
-def _greedy_classes(adj: list, n: int) -> list:
-    color = np.full(n, -1, dtype=np.int64)
-    for v in range(n):
-        used = {color[u] for u in adj[v] if color[u] >= 0}
+def _greedy_classes(adjacency) -> list:
+    """Greedy coloring of the graph with this CSR adjacency, in vertex order.
+
+    Vertex v takes the smallest color none of its earlier-colored neighbors
+    has, so the classes depend only on each vertex's set of neighbors.
+    Diagonal entries, stored zeros included, are ignored.
+    """
+    indptr, indices = adjacency.indptr, adjacency.indices
+    color = np.full(adjacency.shape[0], -1, dtype=np.int64)
+    for v in range(color.shape[0]):
+        used = set(color[indices[indptr[v] : indptr[v + 1]]].tolist())
         c = 0
         while c in used:
             c += 1
@@ -434,54 +454,6 @@ def _proposal_chol(glm_fit: GlmFit | None, p: int) -> np.ndarray:
         return np.diag(np.sqrt(np.clip(np.diag(glm_fit.cov_hat), 1e-12, None)))
 
 
-def _softplus_terms(eta):
-    """max(eta, 0) and log1p(e^-|eta|), whose sum is log(1 + e^eta).
-
-    Stable, and cheaper than np.logaddexp(0, eta). The chain's total
-    log-likelihood sums each term on its own: the acceptance probabilities
-    steer the step-size adaptation, so the order of the sums fixes the
-    seeded draws.
-    """
-    return np.maximum(eta, 0.0), np.log1p(np.exp(-np.abs(eta)))
-
-
-def _site_loglik_fn(spec: ModelSpec, Z: np.ndarray, prior_only: bool):
-    if prior_only:
-        return lambda idx, eta: 0.0
-    if spec.family == "bernoulli":
-
-        def bernoulli_sites(idx, eta):
-            pos, tail = _softplus_terms(eta)
-            return Z[idx] * eta - pos - tail
-
-        return bernoulli_sites
-    if spec.family == "poisson":
-        return lambda idx, eta: Z[idx] * eta - np.exp(eta)
-    raise ValueError("univariate site sweep applies to bernoulli/poisson kernels")
-
-
-def _loglik_core(spec: ModelSpec, Z: np.ndarray, prior_only: bool):
-    """Log likelihood as a function of eta, up to data-only constants."""
-    if prior_only:
-        return lambda eta: 0.0
-    if spec.family == "bernoulli":
-
-        def bernoulli_core(eta):
-            pos, tail = _softplus_terms(eta)
-            return float(Z @ eta - pos.sum() - tail.sum())
-
-        return bernoulli_core
-    if spec.family == "poisson":
-
-        def poisson_core(eta):
-            # overflow to -inf just means certain rejection of the proposal
-            with np.errstate(over="ignore"):
-                return float(Z @ eta - np.exp(eta).sum())
-
-        return poisson_core
-    raise ValueError("gaussian likelihood is handled by Gibbs updates")
-
-
 def fit(
     spec: ModelSpec,
     data: Dataset,
@@ -506,14 +478,18 @@ def fit(
     t_start = time.perf_counter()
     X, Z = data.X, data.Z
     n, p = X.n, X.p
-    k = effect_dimension(spec, X, basis)
-    car_k = car_exponent_dimension(spec, X, basis)
-    Q_B = car_precision(spec, basis)
-    gaussian = spec.family == "gaussian"
-    traditional = spec.parameterization == "traditional"
-    spatial = spec.parameterization != "nonspatial"
+    fam = FAMILY[spec.family]
+    eb = effect_basis(spec, basis)
+    spatial = eb is not None
+    B, Q_B, k, car_k = (eb.B, eb.Q_B, eb.k, eb.car_rank) if spatial else (None, None, 0, 0)
+    # the Gaussian family's chain is all Gibbs
+    gaussian = fam.has_sigma2
+    # the identity loading of the traditional model has one effect per site,
+    # drawn by the site sweep unless Gibbs draws them
+    identity = spatial and B is None
+    sweep = identity and not gaussian
 
-    if prior_only and gaussian and traditional:
+    if prior_only and gaussian and identity:
         raise ValueError(
             "prior-only mode is unavailable for the traditional Gaussian model: "
             "the intrinsic CAR prior is improper, so the effects have no "
@@ -522,25 +498,11 @@ def fit(
 
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
 
-    # effect loading and cached matrix products
-    B = None
-    if spec.parameterization == "rhz":
-        B = basis.L
-    elif spec.parameterization == "sparse":
-        if basis.q != spec.q:
-            raise ValueError(f"basis has q={basis.q}, model wants q={spec.q}")
-        B = basis.M
     degrees = classes = A_csr = None
-    if traditional and not gaussian:
+    if sweep:
         degrees = np.asarray(Q_B.diagonal(), dtype=float)
         A_csr = sp.csr_array(sp.diags_array(degrees) - Q_B)
-        adj_lists = [[] for _ in range(n)]
-        coo = A_csr.tocoo()
-        for i, j in zip(coo.coords[0], coo.coords[1]):
-            if i < j:
-                adj_lists[i].append(int(j))
-                adj_lists[j].append(int(i))
-        classes = _greedy_classes(adj_lists, n)
+        classes = _greedy_classes(A_csr)
 
     # initialization: IRLS estimate for MH families, zero otherwise
     if gaussian or prior_only:
@@ -563,13 +525,14 @@ def fit(
     )
 
     eta = linear_predictor(spec, X, basis, state)
-    loglik = None if gaussian else _loglik_core(spec, Z, prior_only)
+    # log-likelihood up to the data's constant, as a function of eta alone
+    loglik = (lambda eta: 0.0) if prior_only else partial(fam.loglik, Z)
     # log-likelihood at the current eta, kept in step with eta
     ll = None if gaussian else loglik(eta)
     if not prior_only:
-        # the core is finite iff the exact log-likelihood is, and spares a
-        # Poisson fit the import of scipy.special for its constant
-        validate_response(spec.family, Z)
+        # ll is finite iff the exact log-likelihood is, and spares a Poisson
+        # fit the import of scipy.special for its constant
+        fam.check(Z)
         ll0 = log_likelihood(spec, Z, eta, state.sigma2) if gaussian else ll
         lp0 = log_prior(spec, X, basis, state)
         if not np.isfinite(ll0 + lp0):
@@ -581,29 +544,24 @@ def fit(
     # the effects run in the coordinates y = V' delta, where Q_B is diagonal
     # (all but the site sweep); lam is the CAR precision per unit tau of each
     # coordinate, and c the mean IRLS weight at the start
-    lam = V = spectrum = None
+    lam = V = spectrum = site_ll = None
     c = 0.0
-    if k and traditional and not gaussian:
+    if sweep:
         lam = degrees
+        site_terms = fam.site_loglik
+        site_ll = (lambda idx, e: 0.0) if prior_only else (lambda idx, e: site_terms(Z[idx], e))
     elif k:
         spectrum = lam, V, B = _effect_spectrum(Q_B, B)
     # the Gaussian sweep's data terms, fixed for the chain
     cache = _gaussian_cache(X.X, Z, spectrum) if gaussian else None
     if k and not gaussian and not prior_only:
-        mu = inverse_link(spec.family, eta)
-        c = float(np.mean(mu * (1.0 - mu) if spec.family == "bernoulli" else mu))
-
-    site_ll = (
-        _site_loglik_fn(spec, Z, prior_only)
-        if (traditional and not gaussian)
-        else None
-    )
+        c = float(np.mean(fam.weight(fam.mean(eta))))
 
     quad = float(state.effects @ (Q_B @ state.effects)) if k else 0.0
     pr = spec.priors
     beta_var = pr.beta_variance
 
-    steps = {name: cfg.step_size(name) for name in ("beta", "effects", "site")}
+    steps = {name: cfg.step_size(name) for name in _DEFAULT_STEPS}
     log_steps = {name: float(np.log(s)) for name, s in steps.items()}
     target_mv = cfg.target_accept_multivariate
     target_uv = cfg.target_accept_univariate
@@ -668,7 +626,7 @@ def fit(
                 steps["beta"] = _step_from_log(log_steps["beta"])
 
             # effects block
-            if k and traditional:
+            if sweep:
                 mean_alpha = update_w_univariate(
                     rng,
                     state.effects,

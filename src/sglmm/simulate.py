@@ -18,7 +18,7 @@ import scipy.linalg
 
 from .basis import DesignMatrix, MoranBasis, moran_basis
 from .graph import Graph, build_lattice
-from .model import inverse_link
+from .model import FAMILY
 
 __all__ = [
     "SimulatedData",
@@ -59,16 +59,8 @@ def simulate_random_effects(Q_S: np.ndarray, tau: float, seed) -> np.ndarray:
 
 def simulate_response(family: str, eta: np.ndarray, sigma2: float | None, seed) -> np.ndarray:
     """Independent responses given the linear predictor, via the inverse link."""
-    rng = _rng(seed)
-    eta = np.asarray(eta, dtype=float)
-    mean = inverse_link(family, eta)
-    if family == "bernoulli":
-        return rng.binomial(1, mean).astype(float)
-    if family == "poisson":
-        return rng.poisson(mean).astype(float)
-    if sigma2 is None or sigma2 <= 0:
-        raise ValueError("gaussian simulation requires sigma2 > 0")
-    return mean + np.sqrt(sigma2) * rng.standard_normal(eta.shape[0])
+    fam = FAMILY[family]
+    return fam.draw(_rng(seed), fam.mean(np.asarray(eta, dtype=float)), sigma2)
 
 
 def lattice_design(g: Graph) -> DesignMatrix:
@@ -139,7 +131,7 @@ def simulate_dataset(
     rng = _rng(seed)
     delta = simulate_random_effects(basis.Q_S, tau, rng)
     eta = X.X @ beta + basis.M @ delta
-    surface = inverse_link(family, eta)
+    surface = FAMILY[family].mean(eta)
     Z = simulate_response(family, eta, sigma2, rng)
     return SimulatedData(
         graph=g,

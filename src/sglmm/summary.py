@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import DesignMatrix
-from .model import ModelSpec, inverse_link
+from .model import FAMILY, ModelSpec, effect_basis
 
 __all__ = [
     "ParamSummary",
@@ -177,23 +177,20 @@ def fitted_surface(chain, spec: ModelSpec, X: DesignMatrix, basis) -> np.ndarray
     eta is built for ``_FITTED_BLOCK`` sites at a time, so the memory beyond
     the draws is O(draws), not O(n x draws).
     """
+    eb = effect_basis(spec, basis)
+    mean = FAMILY[spec.family].mean
     betas = chain.draws["beta"].T
     effects = chain.draws["effects"].T if "effects" in chain.draws else None
-    loading = None
-    if spec.parameterization == "rhz":
-        loading = basis.L
-    elif spec.parameterization == "sparse":
-        loading = basis.M
     log_offset = None if spec.offset is None else np.log(spec.offset)
     out = np.empty(X.n)
     for start in range(0, X.n, _FITTED_BLOCK):
         rows = slice(start, start + _FITTED_BLOCK)
         eta = X.X[rows] @ betas  # (block, draws)
         if effects is not None:
-            eta = eta + (effects[rows] if loading is None else loading[rows] @ effects)
+            eta = eta + (effects[rows] if eb.B is None else eb.B[rows] @ effects)
         if log_offset is not None:
             eta = eta + log_offset[rows, None]
-        out[rows] = inverse_link(spec.family, eta).mean(axis=1)
+        out[rows] = mean(eta).mean(axis=1)
     return out
 
 

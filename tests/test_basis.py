@@ -13,7 +13,6 @@ from sglmm.basis import (
     moran_basis,
     moran_operator,
     moran_spectrum,
-    projection_complement,
     reduced_precision,
     rhz_basis,
 )
@@ -47,20 +46,26 @@ def test_design_matrix_requires_p_less_than_n():
         DesignMatrix(np.eye(3))
 
 
+def projection_complement(X, g):
+    """Projection onto span(X)-perp as L L', with L the rhz basis."""
+    L = rhz_basis(X, g).L
+    return L @ L.T
+
+
 def test_projection_complement_centering_matrix():
-    P = projection_complement(ONES_2)
+    P = projection_complement(ONES_2, TWO_VERTEX)
     assert np.allclose(P, [[0.5, -0.5], [-0.5, 0.5]])
 
 
 def test_projection_complement_e1():
-    P = projection_complement(np.array([[1.0], [0.0]]))
+    P = projection_complement(np.array([[1.0], [0.0]]), TWO_VERTEX)
     assert np.allclose(P, np.diag([0.0, 1.0]))
 
 
 def test_projection_complement_annihilates_random_design():
     rng = np.random.default_rng(0)
     X = rng.standard_normal((10, 3))
-    P = projection_complement(X)
+    P = projection_complement(X, build_lattice(2, 5))
     # oracle: direct multiplication
     assert np.abs(P @ X).max() < 1e-10
     assert np.abs(P @ P - P).max() < 1e-10
@@ -69,10 +74,11 @@ def test_projection_complement_annihilates_random_design():
 
 def test_projection_complement_idempotent_larger():
     rng = np.random.default_rng(7)
-    for n, p in ((50, 4), (200, 6)):
-        X = rng.standard_normal((n, p))
-        P = projection_complement(X)
+    for rows, cols, p in ((5, 10, 4), (10, 20, 6)):
+        X = rng.standard_normal((rows * cols, p))
+        P = projection_complement(X, build_lattice(rows, cols))
         assert np.abs(P @ P - P).max() < 1e-10
+        assert np.abs(P @ X).max() < 1e-10
 
 
 def test_moran_operator_two_vertex_adjacency():

@@ -6,8 +6,10 @@ import pytest
 import scipy.linalg
 import scipy.sparse.linalg
 
-from sglmm.cli import CONFIG_KEYS, dispatch
+from sglmm.cli import CONFIG_KEYS, _mcmc_from_settings, _spec_from_settings, dispatch
 from sglmm.io import read_config, read_table, write_table
+from sglmm.model import PriorSet
+from sglmm.sampler import McmcConfig
 
 
 def run(args):
@@ -79,6 +81,16 @@ def test_config_parse_and_unknown_key(tmp_path):
     bad.write_text("famly=bernoulli\n")
     with pytest.raises(ValueError, match="unknown key 'famly'"):
         read_config(bad, CONFIG_KEYS)
+
+
+def test_config_naming_only_the_model_takes_dataclass_defaults(tmp_path):
+    path = tmp_path / "cfg"
+    path.write_text("family=poisson\nparameterization=sparse\nq=6\nseed=7\n")
+    settings = read_config(path, CONFIG_KEYS)
+    spec = _spec_from_settings(settings)
+    assert (spec.family, spec.parameterization, spec.q) == ("poisson", "sparse", 6)
+    assert spec.priors == PriorSet()
+    assert _mcmc_from_settings(settings) == McmcConfig(seed=7)
 
 
 # ---------------------------------------------------------------------------
@@ -415,6 +427,29 @@ def test_fit_config_bad_family_lists_allowed(sim_dir, tmp_path, capsys):
     assert code == 1
     err = capsys.readouterr().err
     assert "bernoulli" in err and "poisson" in err and "gaussian" in err
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        "target_accept_multivariate=2.0",
+        "target_accept_univariate=-0.5",
+        "initial_step_sizes=beta:1,sites:2",
+        "initial_step_sizes=effects:-0.3",
+    ],
+)
+def test_fit_config_out_of_range_mcmc_setting_exits_1(sim_dir, tmp_path, capsys, line):
+    cfg = tmp_path / "model.cfg"
+    cfg.write_text(f"family=bernoulli\nparameterization=sparse\nq=6\nseed=1\n{line}\n")
+    code = run(
+        [
+            "fit", "--config", cfg,
+            "--data", sim_dir / "toy_data.csv", "--graph", sim_dir / "toy_graph.edges",
+            "--out-prefix", tmp_path / "x",
+        ]
+    )
+    assert code == 1
+    assert line.partition("=")[0] in capsys.readouterr().err
 
 
 def test_fit_requires_seed_for_mcmc(sim_dir, tmp_path, capsys):

@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from sglmm.glm import glm_gradient, glm_log_likelihood, irls_fit
+from sglmm.glm import irls_fit
+from sglmm.model import ModelSpec, inverse_link, log_likelihood
+
+
+def score(family, X, Z, beta, offset=None):
+    """X'(Z - mean), the canonical-link score (Gaussian: unit variance)."""
+    eta = X @ beta + (0.0 if offset is None else np.log(offset))
+    return X.T @ (Z - inverse_link(family, eta))
 
 
 def test_gaussian_irls_equals_ols():
@@ -24,7 +31,8 @@ def test_poisson_intercept_only_closed_form():
     fit = irls_fit("poisson", X, Z)
     assert fit.beta_hat[0] == pytest.approx(np.log(2.0), abs=1e-10)
     grid = np.linspace(0.0, 1.5, 4001)
-    lls = [glm_log_likelihood("poisson", X, Z, np.array([b])) for b in grid]
+    spec = ModelSpec("poisson", "nonspatial")
+    lls = [log_likelihood(spec, Z, X @ np.array([b])) for b in grid]
     assert grid[int(np.argmax(lls))] == pytest.approx(np.log(2.0), abs=1e-3)
 
 
@@ -58,7 +66,7 @@ def test_poisson_with_offset():
     fit = irls_fit("poisson", X, Z, offset=exposure)
     assert fit.converged
     assert np.allclose(fit.beta_hat, [-2.0, 0.5], atol=0.15)
-    grad = glm_gradient("poisson", X, Z, fit.beta_hat, offset=exposure)
+    grad = score("poisson", X, Z, fit.beta_hat, offset=exposure)
     assert np.abs(grad).max() < 1e-6
 
 
@@ -76,7 +84,7 @@ def test_gradient_small_at_optimum():
             Z = eta + rng.standard_normal(n)
         fit = irls_fit(family, X, Z)
         assert fit.converged
-        assert np.abs(glm_gradient(family, X, Z, fit.beta_hat)).max() < 1e-6
+        assert np.abs(score(family, X, Z, fit.beta_hat)).max() < 1e-6
 
 
 def test_cov_hat_matches_finite_difference_hessian():
@@ -89,6 +97,7 @@ def test_cov_hat_matches_finite_difference_hessian():
     assert fit.converged
 
     # central differences of the log likelihood at beta-hat
+    spec = ModelSpec("bernoulli", "nonspatial")
     h = 1e-5
     p = 2
     H = np.zeros((p, p))
@@ -98,7 +107,7 @@ def test_cov_hat_matches_finite_difference_hessian():
                 b = fit.beta_hat.copy()
                 b[i] += si * h
                 b[j] += sj * h
-                H[i, j] += w * glm_log_likelihood("bernoulli", X, Z, b)
+                H[i, j] += w * log_likelihood(spec, Z, X @ b)
             H[i, j] /= 4 * h * h
     cov_fd = np.linalg.inv(-H)
     assert np.abs(cov_fd - fit.cov_hat).max() / np.abs(cov_fd).max() < 1e-4

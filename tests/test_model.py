@@ -5,10 +5,13 @@ import scipy.stats
 from sglmm.basis import moran_basis, rhz_basis
 from sglmm.graph import build_lattice, laplacian
 from sglmm.model import (
+    FAMILIES,
+    FAMILY,
     Dataset,
     ModelSpec,
     ParameterState,
     PriorSet,
+    effect_basis,
     linear_predictor,
     log_likelihood,
     log_prior,
@@ -148,6 +151,41 @@ def test_loglik_rejects_invalid_response():
     spec = ModelSpec("poisson", "nonspatial")
     with pytest.raises(ValueError, match="entry 0"):
         log_likelihood(spec, np.array([-1.0]), np.zeros(1))
+
+
+def _responses(family, rng, eta):
+    if family == "bernoulli":
+        return rng.integers(0, 2, eta.shape[0]).astype(float)
+    if family == "poisson":
+        return rng.integers(0, 40, eta.shape[0]).astype(float)
+    return eta + 50.0 * rng.standard_normal(eta.shape[0])
+
+
+@pytest.mark.parametrize("scale", [1.0, 30.0, 800.0])
+@pytest.mark.parametrize("family", FAMILIES)
+def test_site_terms_sum_to_the_total_loglik(family, scale):
+    fam = FAMILY[family]
+    rng = np.random.default_rng(int(scale))
+    eta = rng.uniform(-scale, scale, 300)
+    Z = _responses(family, rng, eta)
+    with np.errstate(over="ignore"):
+        total = fam.loglik(Z, eta, 1.7)
+        sites = fam.site_loglik(Z, eta, 1.7)
+    if family == "poisson" and eta.max() > np.log(np.finfo(float).max):
+        assert total == -np.inf and sites.sum() == -np.inf
+    else:
+        assert sites.sum() == pytest.approx(total, rel=1e-12)
+
+
+def test_effect_basis_per_parameterization(small_problem):
+    g, X, mb = small_problem
+    Q, rb = laplacian(g), rhz_basis(X, g)
+    assert effect_basis(ModelSpec("poisson", "nonspatial"), None) is None
+    cases = (("traditional", Q, None, 25, 24), ("rhz", rb, rb.L, 23, 23), ("sparse", mb, mb.M, 4, 4))
+    for parameterization, basis, B, k, car_rank in cases:
+        spec = ModelSpec("poisson", parameterization, q=4 if parameterization == "sparse" else None)
+        eb = effect_basis(spec, basis)
+        assert eb.B is B and (eb.k, eb.car_rank) == (k, car_rank)
 
 
 def test_log_prior_zero_effects_tau_one(small_problem):

@@ -5,6 +5,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse as sp
+from hypothesis import given, settings
 
 from sglmm.basis import DesignMatrix, moran_basis, rhz_basis
 from sglmm.glm import irls_fit
@@ -14,6 +16,7 @@ from sglmm.sampler import (
     McmcConfig,
     _effect_spectrum,
     _gaussian_cache,
+    _greedy_classes,
     color_classes,
     conditional_scale,
     fit,
@@ -26,6 +29,7 @@ from sglmm.sampler import (
 )
 from sglmm.simulate import lattice_design, simulate_dataset
 from sglmm.summary import mcse
+from test_basis import _irregular_graphs
 
 
 def test_config_validation():
@@ -33,6 +37,24 @@ def test_config_validation():
         McmcConfig(iterations=100, burn_in=100, seed=0)
     with pytest.raises(ValueError, match="thin"):
         McmcConfig(iterations=100, burn_in=10, thin=0, seed=0)
+
+
+@pytest.mark.parametrize(
+    "setting",
+    [
+        {"target_accept_multivariate": 2.0},
+        {"target_accept_multivariate": -0.5},
+        {"target_accept_univariate": 0.0},
+        {"target_accept_univariate": 1.0},
+        {"initial_step_sizes": {"beta": -1.0}},
+        {"initial_step_sizes": {"site": float("nan")}},
+        {"initial_step_sizes": {"sites": 1.0}},
+    ],
+)
+def test_config_rejects_out_of_range_settings(setting):
+    (key,) = setting
+    with pytest.raises(ValueError, match=key):
+        McmcConfig(iterations=100, burn_in=10, seed=0, **setting)
 
 
 def test_config_step_floor():
@@ -53,6 +75,22 @@ def test_color_classes_partition_without_adjacent_pairs():
                 if i < j:
                     assert (i, j) not in edge_set
     assert len(classes) == 2  # lattices are bipartite
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(case=_irregular_graphs())
+def test_color_classes_partition_irregular_graphs(case):
+    g = case[0]
+    classes = color_classes(g)
+    assert np.array_equal(np.sort(np.concatenate(classes)), np.arange(g.n))
+    A = g.adjacency()
+    for cls in classes:
+        assert A[cls][:, cls].sum() == 0
+    # the chain driver colors the adjacency diag(Q) - Q of the Laplacian Q
+    Q = laplacian(g).Q
+    from_q = _greedy_classes(sp.csr_array(sp.diags_array(Q.diagonal()) - Q))
+    assert len(from_q) == len(classes)
+    assert all(np.array_equal(a, b) for a, b in zip(from_q, classes))
 
 
 def test_update_beta_rw_flat_target_always_accepts():
