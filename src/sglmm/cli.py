@@ -309,10 +309,8 @@ def _build_basis(model, X, g, q):
 
 
 def _chain_summary_doc(chain: Chain, level: float) -> dict:
-    fs = summarize_chain(chain, level=level)
     return {
-        "level": fs.level,
-        "params": {k: v.as_dict() for k, v in fs.params.items()},
+        **summarize_chain(chain, level=level).as_dict(),
         "acceptance_rates": chain.acceptance_rates,
         "wall_time_seconds": chain.wall_time,
         "seed": chain.seed,

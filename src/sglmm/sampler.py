@@ -9,6 +9,11 @@ Kernel schedule, following the update order beta, effects, tau, sigma2:
   (traditional); Gibbs for tau.
 * Gaussian: Gibbs updates for every parameter.
 
+Both random-walk blocks go through one kernel, ``rw_metropolis``. It takes
+the block's log target ratio from the driver, together with what the ratio
+computed for the proposal (eta, log-likelihood, CAR quadratic form), so the
+kernel the tests check is the code that draws, and no ratio is recomputed.
+
 The driver reads the model from two objects of ``model`` and never from the
 names in the spec: the ``EffectBasis`` (loading B, reduced precision Q_B,
 tau exponent) and the ``Family`` (log-likelihood and its per-site terms,
@@ -76,8 +81,7 @@ __all__ = [
     "fit",
     "fit_chains",
     "conditional_scale",
-    "update_beta_rw",
-    "update_delta_rw",
+    "rw_metropolis",
     "update_w_univariate",
     "gibbs_tau",
     "gibbs_gaussian",
@@ -198,8 +202,9 @@ def _greedy_classes(adjacency) -> list:
 
 
 # ---------------------------------------------------------------------------
-# Update kernels. Pure given the generator; log-target callables let them
-# run against any posterior, and the chain driver reuses the same logic.
+# Update kernels. Pure given the generator; their log-target callables let
+# them run against any posterior, and the chain driver draws every block
+# through them.
 # ---------------------------------------------------------------------------
 
 
@@ -228,41 +233,33 @@ def _step_from_log(log_step):
 
 
 def _rw_proposal(rng, x, step, scale):
-    """x + step * scale * z, with scale None meaning spherical."""
+    """x + step * scale z with z standard normal.
+
+    ``scale`` None means spherical, a vector scales each coordinate (such as
+    ``conditional_scale``), and a matrix (a Cholesky factor of the proposal
+    covariance) multiplies z.
+    """
     z = rng.standard_normal(x.shape[0])
-    return x + step * (z if scale is None else scale * z)
+    if scale is None:
+        return x + step * z
+    return x + step * (scale @ z if scale.ndim == 2 else scale * z)
 
 
-def update_beta_rw(rng, beta, log_target, chol_cov, step):
-    """Multivariate normal random-walk Metropolis step.
+def rw_metropolis(rng, x, log_ratio, step, scale=None):
+    """One normal random-walk Metropolis step from x.
 
-    Proposal: beta + step * chol_cov @ z with z standard normal. Returns
-    (value, log-target at value, acceptance probability, accepted flag).
+    Proposes x' = x + step * scale z (``scale`` as in ``_rw_proposal``) and
+    calls ``log_ratio(x')``, which returns (log pi(x') - log pi(x), kept):
+    the log target ratio and what the caller computed on the way to it,
+    such as the proposal's eta and log-likelihood. The proposal is
+    symmetric, so the ratio is the Metropolis log acceptance ratio. Returns
+    (x', kept, alpha, True) on acceptance and (x, None, alpha, False)
+    otherwise, alpha being the acceptance probability.
     """
-    prop = beta + step * (chol_cov @ rng.standard_normal(beta.shape[0]))
-    current = log_target(beta)
-    proposed = log_target(prop)
-    alpha, accepted = _accept(rng, proposed - current)
-    if accepted:
-        return prop, proposed, alpha, True
-    return beta, current, alpha, False
-
-
-def update_delta_rw(rng, delta, log_target, step, scale=None):
-    """Single-block normal random-walk step for reduced effects.
-
-    Proposal: delta + step * scale * z with z standard normal; ``scale`` is
-    a per-coordinate vector such as ``conditional_scale``, and None keeps
-    the spherical proposal. Returns (value, log-target at value, acceptance
-    probability, accepted flag).
-    """
-    prop = _rw_proposal(rng, delta, step, scale)
-    current = log_target(delta)
-    proposed = log_target(prop)
-    alpha, accepted = _accept(rng, proposed - current)
-    if accepted:
-        return prop, proposed, alpha, True
-    return delta, current, alpha, False
+    prop = _rw_proposal(rng, x, step, scale)
+    log_alpha, kept = log_ratio(prop)
+    alpha, accepted = _accept(rng, log_alpha)
+    return (prop, kept, alpha, True) if accepted else (x, None, alpha, False)
 
 
 def car_local_log_ratio(tau, degrees, neighbor_sums, w_old, w_new):
@@ -584,6 +581,33 @@ def fit(
     accepted = {"beta": 0.0, "effects": 0.0}
     proposed = {"beta": 0, "effects": 0}
 
+    def tally(block, rate, alpha, gain, target):
+        # after burn-in, add the proposal and its gain (the acceptance flag or
+        # a sweep's mean acceptance probability) to ``rate``'s tally; while
+        # adapting, move ``block``'s log step by gamma (alpha - target)
+        if t > cfg.burn_in:
+            accepted[rate] += gain
+            proposed[rate] += 1
+        if adapting:
+            log_steps[block] += gamma * (alpha - target)
+            steps[block] = _step_from_log(log_steps[block])
+
+    # log target ratios of the two random-walk blocks; each also returns
+    # what the proposal's state needs, kept only on acceptance
+    def beta_ratio(prop):
+        eta_prop = eta + X.X @ (prop - state.beta)
+        ll_prop = loglik(eta_prop)
+        d_prior = float(prop @ prop) - float(state.beta @ state.beta)
+        return ll_prop - ll - 0.5 * d_prior / beta_var, (eta_prop, ll_prop)
+
+    def effects_ratio(prop):
+        # state.effects holds the rotated coordinates V' delta here
+        eta_prop = eta + B @ (prop - state.effects)
+        quad_prop = float(lam @ prop**2)
+        ll_prop = loglik(eta_prop)
+        log_alpha = ll_prop - ll - 0.5 * state.tau * (quad_prop - quad)
+        return log_alpha, (eta_prop, ll_prop, quad_prop)
+
     kept = 0
     for t in range(1, cfg.iterations + 1):
         adapting = cfg.adapt and t <= cfg.burn_in
@@ -603,29 +627,13 @@ def fit(
                 cache=cache,
             )
         else:
-            # beta block
-            prop = state.beta + steps["beta"] * (chol_prop @ rng.standard_normal(p))
-            eta_prop = eta + X.X @ (prop - state.beta)
-            ll_prop = loglik(eta_prop)
-            log_alpha = (
-                ll_prop
-                - ll
-                - 0.5 * (float(prop @ prop) - float(state.beta @ state.beta)) / beta_var
+            state.beta, new, alpha, ok = rw_metropolis(
+                rng, state.beta, beta_ratio, steps["beta"], chol_prop
             )
-            alpha, accepted_now = _accept(rng, log_alpha)
-            if accepted_now:
-                state.beta = prop
-                eta = eta_prop
-                ll = ll_prop
-                if t > cfg.burn_in:
-                    accepted["beta"] += 1
-            if t > cfg.burn_in:
-                proposed["beta"] += 1
-            if adapting:
-                log_steps["beta"] += gamma * (alpha - target_mv)
-                steps["beta"] = _step_from_log(log_steps["beta"])
+            if ok:
+                eta, ll = new
+            tally("beta", "beta", alpha, ok, target_mv)
 
-            # effects block
             if sweep:
                 mean_alpha = update_w_univariate(
                     rng,
@@ -639,36 +647,20 @@ def fit(
                     site_loglik=site_ll,
                     scale=conditional_scale(c, state.tau, lam),
                 )
-                if t > cfg.burn_in:
-                    accepted["effects"] += mean_alpha
-                    proposed["effects"] += 1
-                if adapting:
-                    log_steps["site"] += gamma * (mean_alpha - target_uv)
-                    steps["site"] = _step_from_log(log_steps["site"])
+                tally("site", "effects", mean_alpha, mean_alpha, target_uv)
                 quad = float(state.effects @ (Q_B @ state.effects))
                 ll = loglik(eta)
             elif k:
-                # state.effects holds the rotated coordinates V' delta here
-                d_prop = _rw_proposal(
-                    rng, state.effects, steps["effects"], conditional_scale(c, state.tau, lam)
+                state.effects, new, alpha, ok = rw_metropolis(
+                    rng,
+                    state.effects,
+                    effects_ratio,
+                    steps["effects"],
+                    conditional_scale(c, state.tau, lam),
                 )
-                eta_prop = eta + B @ (d_prop - state.effects)
-                quad_prop = float(lam @ d_prop**2)
-                ll_prop = loglik(eta_prop)
-                log_alpha = ll_prop - ll - 0.5 * state.tau * (quad_prop - quad)
-                alpha, accepted_now = _accept(rng, log_alpha)
-                if accepted_now:
-                    state.effects = d_prop
-                    eta = eta_prop
-                    ll = ll_prop
-                    quad = quad_prop
-                    if t > cfg.burn_in:
-                        accepted["effects"] += 1
-                if t > cfg.burn_in:
-                    proposed["effects"] += 1
-                if adapting:
-                    log_steps["effects"] += gamma * (alpha - target_mv)
-                    steps["effects"] = _step_from_log(log_steps["effects"])
+                if ok:
+                    eta, ll, quad = new
+                tally("effects", "effects", alpha, ok, target_mv)
 
             # tau block
             if spatial and fixed_tau is None:

@@ -248,20 +248,18 @@ def effect_correlations(
         raise ValueError("fewer than 2 effects have positive variance")
 
     n_pairs_total = k_eff * (k_eff - 1) // 2
-    centered = effects[:, keep] - effects[:, keep].mean(axis=0)
-    scaled = centered / centered.std(axis=0)
-
     if n_pairs_total <= max_pairs:
         corr = np.corrcoef(effects[:, keep].T)
         iu = np.triu_indices(k_eff, 1)
         correlations = corr[iu]
     else:
+        centered = effects[:, keep] - effects[:, keep].mean(axis=0)
+        scaled = centered / centered.std(axis=0)
         rng = np.random.default_rng(seed)
-        m = max(subsample_size, 10_000)
-        ii = rng.integers(0, k_eff, size=2 * m)
-        jj = rng.integers(0, k_eff, size=2 * m)
+        ii = rng.integers(0, k_eff, size=2 * subsample_size)
+        jj = rng.integers(0, k_eff, size=2 * subsample_size)
         ok = ii != jj
-        ii, jj = ii[ok][:m], jj[ok][:m]
+        ii, jj = ii[ok][:subsample_size], jj[ok][:subsample_size]
         correlations = (scaled[:, ii] * scaled[:, jj]).mean(axis=0)
 
     counts, bin_edges = np.histogram(correlations, bins=bins, range=(-1.0, 1.0))

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from sglmm.graph import (
     build_lattice,
@@ -10,6 +11,7 @@ from sglmm.graph import (
     write_coords,
     write_edge_list,
 )
+from test_basis import _irregular_graphs
 
 
 def bfs_component_count(n, edges):
@@ -133,6 +135,21 @@ def test_laplacian_rank_disconnected():
     g = graph_from_edges(5, [(0, 1), (1, 2), (0, 2), (3, 4)])
     assert laplacian(g).rank == 3
     assert bfs_component_count(5, g.edges) == 2
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(case=_irregular_graphs())
+def test_laplacian_row_sums_and_rank_on_irregular_graphs(case):
+    # islands, hubs and isolated vertices: rows still sum to exactly 0, and
+    # the rank is n minus the component count, numerically as well as stored
+    g = case[0]
+    pm = laplacian(g)
+    Q = pm.dense()
+    assert np.all(Q.sum(axis=1) == 0.0)
+    rank = g.n - bfs_component_count(g.n, g.edges)
+    assert g.n_components() == g.n - rank
+    assert pm.rank == rank
+    assert np.linalg.matrix_rank(Q) == rank
 
 
 def test_laplacian_psd_small_graphs():

@@ -6,25 +6,26 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from sglmm.basis import DesignMatrix, moran_basis, rhz_basis
 from sglmm.glm import irls_fit
 from sglmm.graph import build_lattice, graph_from_edges, laplacian
 from sglmm.model import Dataset, ModelSpec, ParameterState, PriorSet
+import sglmm.sampler as sampler
 from sglmm.sampler import (
     McmcConfig,
     _effect_spectrum,
     _gaussian_cache,
     _greedy_classes,
+    car_local_log_ratio,
     color_classes,
     conditional_scale,
     fit,
     fit_chains,
     gibbs_gaussian,
     gibbs_tau,
-    update_beta_rw,
-    update_delta_rw,
+    rw_metropolis,
     update_w_univariate,
 )
 from sglmm.simulate import lattice_design, simulate_dataset
@@ -93,12 +94,23 @@ def test_color_classes_partition_irregular_graphs(case):
     assert all(np.array_equal(a, b) for a, b in zip(from_q, classes))
 
 
+def _ratio_of(log_target, x):
+    """log_ratio for rw_metropolis from x; kept is the log target at the proposal."""
+    current = log_target(x)
+
+    def log_ratio(prop):
+        proposed = log_target(prop)
+        return proposed - current, proposed
+
+    return log_ratio
+
+
 def test_update_beta_rw_flat_target_always_accepts():
     rng = np.random.default_rng(0)
     beta = np.zeros(3)
     accepted = 0
     for _ in range(500):
-        beta, _, alpha, ok = update_beta_rw(rng, beta, lambda b: 0.0, np.eye(3), 0.5)
+        beta, _, alpha, ok = rw_metropolis(rng, beta, lambda b: (0.0, None), 0.5, np.eye(3))
         assert alpha == 1.0
         accepted += ok
     assert accepted == 500
@@ -111,8 +123,12 @@ def test_update_beta_rw_acceptance_prob_is_density_ratio():
     log_target = lambda b: -0.5 * float(b @ b)
     beta = np.array([1.5, -0.5])
     for _ in range(200):
-        new, logt, alpha, ok = update_beta_rw(rng, beta, log_target, np.eye(2), 0.7)
-        assert logt == pytest.approx(log_target(new))
+        log_ratio = _ratio_of(log_target, beta)
+        new, logt, alpha, ok = rw_metropolis(rng, beta, log_ratio, 0.7, np.eye(2))
+        if ok:
+            assert logt == pytest.approx(log_target(new))
+        else:
+            assert logt is None and new is beta
         beta = new
         assert 0.0 < alpha <= 1.0
 
@@ -133,7 +149,7 @@ def test_rw_two_state_equilibrium():
     hits = 0
     n = 200_000
     for _ in range(n):
-        x, _, _, _ = update_beta_rw(rng, x, log_target, np.eye(1), 0.8)
+        x, _, _, _ = rw_metropolis(rng, x, _ratio_of(log_target, x), 0.8, np.eye(1))
         hits += x[0] < 1.0
     assert hits / n == pytest.approx(0.7, abs=0.01)
 
@@ -158,7 +174,7 @@ def test_update_delta_rw_prior_recovery_variance():
     rotated = np.zeros(4)
     draws = np.empty((60_000, 4))
     for i in range(draws.shape[0]):
-        rotated, _, _, _ = update_delta_rw(rng, rotated, log_target, 1.0, scale)
+        rotated, _, _, _ = rw_metropolis(rng, rotated, _ratio_of(log_target, rotated), 1.0, scale)
         draws[i] = V @ rotated
     sq = draws[10_000:] ** 2
     for j in range(4):
@@ -166,29 +182,58 @@ def test_update_delta_rw_prior_recovery_variance():
         assert abs(sq[:, j].mean() - target_cov[j, j]) < 3 * se
 
 
-def test_update_w_univariate_matches_full_quadratic_form():
+@pytest.mark.parametrize("model", ["nonspatial", "traditional", "rhz", "sparse"])
+@pytest.mark.parametrize("family", ["bernoulli", "poisson", "gaussian"])
+def test_fit_draws_random_walk_blocks_through_rw_metropolis(monkeypatch, family, model):
+    # beta and the rhz/sparse effects are the random-walk blocks; the site
+    # sweep draws the traditional effects and Gaussian fits are all Gibbs.
+    # A block drawn by an inline copy of the kernel would not be counted
+    calls = 0 if family == "gaussian" else (2 if model in ("rhz", "sparse") else 1)
+    kw = {"sigma2": 1.0} if family == "gaussian" else {}
+    sim = simulate_dataset(seed=34, rows=5, cols=5, q=4, tau=1.0, family=family, **kw)
+    basis = {
+        "sparse": sim.basis,
+        "rhz": rhz_basis(sim.X, sim.graph),
+        "traditional": laplacian(sim.graph),
+        "nonspatial": None,
+    }[model]
+    n_calls = [0]
+
+    def counted(*args, **kwargs):
+        n_calls[0] += 1
+        return rw_metropolis(*args, **kwargs)
+
+    monkeypatch.setattr(sampler, "rw_metropolis", counted)
+    cfg = McmcConfig(iterations=300, burn_in=100, thin=1, seed=35)
+    spec = ModelSpec(family, model, q=4 if model == "sparse" else None)
+    fit(spec, Dataset(X=sim.X, Z=sim.Z), basis, cfg)
+    assert n_calls[0] == calls * cfg.iterations
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(case=_irregular_graphs())
+@example(case=(graph_from_edges(6, [(0, 1), (1, 2), (2, 3), (0, 4)]), None, None))
+def test_update_w_univariate_matches_full_quadratic_form(case):
     # local CAR ratio must equal the full joint prior ratio when one site
-    # changes; isolated vertices have a flat conditional
-    g = graph_from_edges(6, [(0, 1), (1, 2), (2, 3), (0, 4)])  # vertex 5 isolated
-    Q = laplacian(g)
-    Qd = Q.dense()
+    # changes; isolated vertices (vertex 5 of the 6-vertex example) have a
+    # flat conditional
+    g = case[0]
+    Qd = laplacian(g).dense()
     tau = 1.7
     rng = np.random.default_rng(4)
-    W = rng.standard_normal(6)
-    from sglmm.sampler import car_local_log_ratio
-
+    W = rng.standard_normal(g.n)
     A = g.adjacency().astype(float)
     S = A @ W
     deg = g.degrees.astype(float)
-    for i in range(6):
+    for i in range(g.n):
         w_new = W[i] + 0.8
         local = car_local_log_ratio(tau, deg[i], S[i], W[i], w_new)
         W2 = W.copy()
         W2[i] = w_new
         full = -0.5 * tau * (W2 @ Qd @ W2 - W @ Qd @ W)
         assert local == pytest.approx(full, abs=1e-10)
-    # degree-0 site: flat conditional
-    assert car_local_log_ratio(tau, 0.0, 0.0, W[5], W[5] + 10.0) == 0.0
+    for i in np.nonzero(deg == 0)[0]:
+        assert car_local_log_ratio(tau, 0.0, 0.0, W[i], W[i] + 10.0) == 0.0
 
 
 def test_conditional_scale_finite_where_precision_vanishes():

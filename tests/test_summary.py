@@ -275,6 +275,19 @@ def test_effect_correlations_subsamples_large_problems():
     assert 10_000 <= hist.n_pairs_used < hist.n_pairs_total
 
 
+def test_effect_correlations_uses_subsample_size_as_given():
+    # a subsample smaller than the default is used as given, not raised to it
+    rng = np.random.default_rng(8)
+    effects = rng.standard_normal((120, 500))
+    chain = make_chain(
+        {"beta": np.zeros((120, 1)), "effects": effects},
+        ["beta.x0"] + [f"effect.{i}" for i in range(500)],
+    )
+    hist = effect_correlations(chain, subsample_size=500)
+    assert hist.n_pairs_used == 500
+    assert hist.counts.sum() == 500
+
+
 def test_sparse_fit_correlations_concentrate_near_zero():
     # reproduction-style check: the sparse model's effects are close to
     # a posteriori uncorrelated, so the correlation mass sits near 0
