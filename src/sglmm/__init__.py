@@ -61,6 +61,7 @@ from .summary import (
     mcse,
     summarize_chain,
     summarize_draws,
+    summarize_matrix,
 )
 
 __all__ = [
@@ -105,6 +106,7 @@ __all__ = [
     "FitSummary",
     "summarize_chain",
     "summarize_draws",
+    "summarize_matrix",
     "equal_tailed_interval",
     "hpd_interval",
     "mcse",

@@ -23,11 +23,12 @@ import hashlib
 import json
 import sys
 import time
+from contextlib import ExitStack
 from dataclasses import fields
 
 import numpy as np
 
-from . import __version__
+from . import __version__, sampler
 from .basis import DesignMatrix, moran_basis, moran_spectrum, rhz_basis
 from .glm import irls_fit
 from .graph import (
@@ -38,19 +39,21 @@ from .graph import (
     write_coords,
     write_edge_list,
 )
-from .io import read_config, read_table, write_table
+from .io import RowWriter, read_config, read_table, write_table
 from .model import (
     FAMILIES,
     PARAMETERIZATIONS,
     Dataset,
     ModelSpec,
+    ParameterState,
     PriorSet,
     effect_basis,
     inverse_link,
+    linear_predictor,
 )
 from .sampler import Chain, McmcConfig, fit as run_mcmc
 from .simulate import PRESETS, simulate_dataset
-from .summary import fitted_surface, error_norm, summarize_chain, summarize_draws
+from .summary import fitted_surface, error_norm, summarize_chain, summarize_matrix
 
 # the model's own settings, then one key per field of PriorSet and McmcConfig
 CONFIG_KEYS = ("family", "parameterization", "q") + tuple(
@@ -122,6 +125,12 @@ def _versions() -> dict:
     }
 
 
+def _write_json(path, doc):
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=2, default=str)
+        fh.write("\n")
+
+
 def _write_manifest(path, command, argv, settings, extra=None):
     canonical = json.dumps(settings, sort_keys=True, default=str)
     doc = {
@@ -133,31 +142,7 @@ def _write_manifest(path, command, argv, settings, extra=None):
     }
     if extra:
         doc.update(extra)
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, default=str)
-        fh.write("\n")
-
-
-class _ChainWriter:
-    """Streams retained draws to a CSV file, one row per draw.
-
-    Each numeric row is one string, byte for byte what ``csv.writer`` writes
-    for its ``format_float`` cells: "%.17g" and "{:.17g}" agree on every
-    float, inf, nan and -0.0 included. The row template is built once per file.
-    """
-
-    def __init__(self, path):
-        self.fh = open(path, "w", newline="")
-        self.template = None
-
-    def __call__(self, names, row):
-        if self.template is None:
-            csv.writer(self.fh).writerow(names)
-            self.template = ",".join(["%.17g"] * len(names)) + "\r\n"
-        self.fh.write(self.template % tuple(row.tolist()))
-
-    def close(self):
-        self.fh.close()
+    _write_json(path, doc)
 
 
 # ---------------------------------------------------------------------------
@@ -345,10 +330,8 @@ def _cmd_fit(args, argv):
     basis = _build_basis(spec.parameterization, X, g, spec.q)
     if basis is None:
         glm = irls_fit(spec.family, X, Z, offset=offset)
-        eta = X.X @ glm.beta_hat
-        if offset is not None:
-            eta = eta + np.log(offset)
-        fitted = inverse_link(spec.family, eta)
+        state = ParameterState(glm.beta_hat, np.zeros(0))
+        fitted = inverse_link(spec.family, linear_predictor(spec, X, None, state))
         doc = {
             "model": "nonspatial",
             "family": spec.family,
@@ -358,9 +341,7 @@ def _cmd_fit(args, argv):
             "iterations": glm.iterations,
             "converged": glm.converged,
         }
-        with open(f"{prefix}_summary.json", "w") as fh:
-            json.dump(doc, fh, indent=2)
-            fh.write("\n")
+        _write_json(f"{prefix}_summary.json", doc)
         _write_fitted(prefix, X, fitted)
         _write_manifest(f"{prefix}_manifest.json", "fit", argv, dict(settings))
         if not glm.converged:
@@ -370,34 +351,18 @@ def _cmd_fit(args, argv):
 
     cfg = _mcmc_from_settings(settings)
     n_chains = args.chains
-    chains = []
-    if n_chains == 1:
-        writer = _ChainWriter(f"{prefix}_chain.csv")
-        try:
-            chain = run_mcmc(spec, data, basis, cfg, stream=writer)
-        finally:
-            writer.close()
-        chains = [chain]
-        paths = [f"{prefix}_chain.csv"]
-    else:
-        from .sampler import fit_chains
+    suffixes = [""] if n_chains == 1 else [f"_{i}" for i in range(n_chains)]
+    paths = [f"{prefix}_chain{suffix}.csv" for suffix in suffixes]
+    with ExitStack() as files:
+        writers = [files.enter_context(RowWriter(path)) for path in paths]
+        if n_chains == 1:
+            chains = [run_mcmc(spec, data, basis, cfg, stream=writers[0])]
+        else:
+            chains = sampler.fit_chains(spec, data, basis, cfg, n_chains, streams=writers)
 
-        writers = [_ChainWriter(f"{prefix}_chain_{i}.csv") for i in range(n_chains)]
-        try:
-            chains = fit_chains(spec, data, basis, cfg, n_chains, streams=writers)
-        finally:
-            for w in writers:
-                w.close()
-        paths = [f"{prefix}_chain_{i}.csv" for i in range(n_chains)]
-
-    for i, chain in enumerate(chains):
-        doc = _chain_summary_doc(chain, args.level)
-        suffix = "" if n_chains == 1 else f"_{i}"
-        with open(f"{prefix}_summary{suffix}.json", "w") as fh:
-            json.dump(doc, fh, indent=2)
-            fh.write("\n")
-        fitted = fitted_surface(chain, spec, X, basis)
-        _write_fitted(f"{prefix}{suffix}", X, fitted)
+    for suffix, chain in zip(suffixes, chains):
+        _write_json(f"{prefix}_summary{suffix}.json", _chain_summary_doc(chain, args.level))
+        _write_fitted(f"{prefix}{suffix}", X, fitted_surface(chain, spec, X, basis))
 
     _write_manifest(
         f"{prefix}_manifest.json",
@@ -435,13 +400,8 @@ def _cmd_summarize(args, argv):
     table = read_table(args.chain)
     if table.n_rows == 0:
         raise ValueError(f"{args.chain}: chain is empty")
-    params = {
-        name: summarize_draws(table[name], args.level).as_dict() for name in table.names
-    }
-    doc = {"level": args.level, "n_draws": table.n_rows, "params": params}
-    with open(args.out, "w") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+    params = summarize_matrix(table.matrix(), table.names, args.level).as_dict()["params"]
+    _write_json(args.out, {"level": args.level, "n_draws": table.n_rows, "params": params})
     print(f"summarized {table.n_rows} draws x {len(table.names)} parameters -> {args.out}")
     return 0
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import DesignMatrix
-from .model import FAMILY
+from .model import FAMILY, check_offset
 
 __all__ = ["GlmFit", "irls_fit"]
 
@@ -51,7 +51,8 @@ def irls_fit(family: str, X, Z, offset=None) -> GlmFit:
     Convergence is max|delta beta| < 1e-8 within 100 iterations. A
     non-converged fit (e.g., complete separation for Bernoulli data) is
     returned with ``converged=False`` and the iteration trace rather than
-    raised; a singular weighted system is an error.
+    raised; a singular weighted system is an error. ``offset`` (Poisson
+    only) holds n positive exposures.
     """
     if isinstance(X, DesignMatrix):
         Xa = X.X
@@ -61,11 +62,9 @@ def irls_fit(family: str, X, Z, offset=None) -> GlmFit:
     fam = FAMILY[family]
     Z = np.asarray(Z, dtype=float)
     fam.check(Z)
-    if offset is not None and not fam.allows_offset:
-        raise ValueError("offsets are supported for the poisson family only")
-    log_off = None if offset is None else np.log(np.asarray(offset, dtype=float))
-
     n, p = Xa.shape
+    log_off = None if offset is None else np.log(check_offset(family, offset, n))
+
     beta = np.zeros(p)
     trace: list[float] = []
     converged = False

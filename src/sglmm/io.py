@@ -2,9 +2,12 @@
 
 Tables are plain CSV with a required header row and all-numeric cells;
 floats are printed with 17 significant digits so write-then-read is the
-identity on finite values. Configuration files hold one ``key=value`` pair
-per line with '#' comments; keys must mirror the model and MCMC field names
-exactly, and unknown keys are rejected.
+identity on finite values. One writer, ``RowWriter``, prints every numeric
+CSV: ``write_table`` writes through it, and a chain streams each retained
+draw to it as the draw is kept, the row being the chain's own storage
+(``sampler.Chain.values``), not a copy. Configuration files hold one
+``key=value`` pair per line with '#' comments; keys must mirror the model
+and MCMC field names exactly, and unknown keys are rejected.
 """
 
 from __future__ import annotations
@@ -14,11 +17,7 @@ import math
 
 import numpy as np
 
-__all__ = ["Table", "read_table", "write_table", "read_config", "format_float"]
-
-
-# a float as a table cell, 17 significant digits
-format_float = "{:.17g}".format
+__all__ = ["Table", "RowWriter", "read_table", "write_table", "read_config"]
 
 
 class Table:
@@ -47,17 +46,47 @@ class Table:
         return np.column_stack([self[name] for name in names]) if names else np.empty((0, 0))
 
 
+class RowWriter:
+    """A numeric CSV written one row at a time.
+
+    ``writer(names, row)`` writes the header ``names`` on its first call
+    (``header`` writes it alone), then the row: each float with 17
+    significant digits ("%.17g"), from a template built once per file. It is
+    the ``stream`` signature of ``sampler.fit``.
+    """
+
+    def __init__(self, path):
+        self.fh = open(path, "w", newline="")
+        self.template = None
+
+    def header(self, names):
+        csv.writer(self.fh).writerow(names)
+        self.template = ",".join(["%.17g"] * len(names)) + "\r\n"
+
+    def __call__(self, names, row):
+        if self.template is None:
+            self.header(names)
+        self.fh.write(self.template % tuple(row.tolist()))
+
+    def close(self):
+        self.fh.close()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.close()
+
+
 def write_table(path, names, columns) -> None:
-    """Write a numeric CSV with header; floats carry 17 significant digits."""
+    """Write the equal-length ``columns`` (keyed by name, or in ``names``
+    order) as a numeric CSV with header, through one ``RowWriter``."""
     names = list(names)
-    cols = [np.asarray(columns[name] if isinstance(columns, dict) else columns[i], dtype=float)
-            for i, name in enumerate(names)]
-    n_rows = cols[0].shape[0] if cols else 0
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(names)
-        for r in range(n_rows):
-            writer.writerow([format_float(col[r]) for col in cols])
+    table = Table(names, columns if isinstance(columns, dict) else dict(zip(names, columns)))
+    with RowWriter(path) as write:
+        write.header(names)
+        for row in table.matrix():
+            write(names, row)
 
 
 def read_table(path) -> Table:

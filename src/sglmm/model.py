@@ -43,6 +43,7 @@ __all__ = [
     "ParameterState",
     "Dataset",
     "effect_basis",
+    "check_offset",
     "inverse_link",
     "linear_predictor",
     "log_likelihood",
@@ -264,13 +265,22 @@ class ModelSpec:
         elif self.q is not None:
             raise ValueError("q is only meaningful for the sparse parameterization")
         if self.offset is not None:
-            if not FAMILY[self.family].allows_offset:
-                raise ValueError("offsets are supported for the poisson family only")
-            off = np.asarray(self.offset, dtype=float)
-            if np.any(off <= 0):
-                bad = int(np.argmax(off <= 0))
-                raise ValueError(f"offset entries must be positive; entry {bad} is {off[bad]}")
-            object.__setattr__(self, "offset", off)
+            object.__setattr__(self, "offset", check_offset(self.family, self.offset))
+
+
+def check_offset(family: str, offset, n: int | None = None) -> np.ndarray:
+    """``offset`` as a float array; ValueError unless the family takes one,
+    every entry is positive and, with n given, its shape is (n,)."""
+    if not FAMILY[family].allows_offset:
+        raise ValueError("offsets are supported for the poisson family only")
+    off = np.asarray(offset, dtype=float)
+    if n is not None and off.shape != (n,):
+        raise ValueError(f"offset must have length {n}, got shape {off.shape}")
+    bad = ~(off > 0)
+    if np.any(bad):
+        i = int(np.argmax(bad))
+        raise ValueError(f"offset entries must be positive; entry {i} is {off.flat[i]}")
+    return off
 
 
 @dataclass(frozen=True)
@@ -330,14 +340,6 @@ class ParameterState:
     tau: float = 1.0
     sigma2: float | None = None
 
-    def copy(self) -> "ParameterState":
-        return ParameterState(
-            beta=self.beta.copy(),
-            effects=self.effects.copy(),
-            tau=self.tau,
-            sigma2=self.sigma2,
-        )
-
 
 @dataclass(frozen=True)
 class Dataset:
@@ -367,12 +369,8 @@ def linear_predictor(
     if k:
         eta = eta + (state.effects if eb.B is None else eb.B @ state.effects)
     if spec.offset is not None:
-        eta = eta + np.log(spec.offset)
+        eta = eta + np.log(check_offset(spec.family, spec.offset, X.n))
     return eta
-
-
-def validate_response(family: str, Z: np.ndarray) -> None:
-    FAMILY[family].check(np.asarray(Z))
 
 
 def inverse_link(family: str, eta: np.ndarray) -> np.ndarray:

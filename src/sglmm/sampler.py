@@ -146,12 +146,15 @@ class McmcConfig:
 class Chain:
     """Thinned post-burn-in MCMC output.
 
-    ``draws`` holds arrays keyed by 'beta' (d, p), 'effects' (d, k), 'tau'
-    (d,), and 'sigma2' (d,) where applicable; ``names`` are the flat column
-    labels in CSV order.
+    ``values`` is the chain's one record of its draws: an (n_draws,
+    len(names)) array, row t the t-th retained draw, column j the parameter
+    ``names[j]`` (``beta.<name>``..., ``effect.<i>``..., ``tau``, ``sigma2``
+    where applicable, the CSV order). ``fit`` fills it a row at a time and
+    hands each row to its stream. ``matrix()`` returns it, and ``draws`` and
+    ``column()`` are views into it; nothing is copied.
     """
 
-    draws: dict
+    values: np.ndarray
     names: tuple
     acceptance_rates: dict
     wall_time: float
@@ -162,20 +165,26 @@ class Chain:
 
     @property
     def n_draws(self) -> int:
-        return next(iter(self.draws.values())).shape[0]
+        return self.values.shape[0]
+
+    @property
+    def draws(self) -> dict:
+        """Views of ``values`` by block: 'beta' (d, p), 'effects' (d, k),
+        'tau' (d,) and 'sigma2' (d,), the last three where present."""
+        p = sum(name.startswith("beta.") for name in self.names)
+        k = sum(name.startswith("effect.") for name in self.names)
+        out = {"beta": self.values[:, :p]}
+        if k:
+            out["effects"] = self.values[:, p : p + k]
+        out.update({name: self.column(name) for name in ("tau", "sigma2") if name in self.names})
+        return out
 
     def matrix(self) -> np.ndarray:
-        """Draws as one (n_draws, n_params) array in ``names`` order."""
-        cols = []
-        for key in ("beta", "effects", "tau", "sigma2"):
-            if key in self.draws:
-                arr = self.draws[key]
-                cols.append(arr[:, None] if arr.ndim == 1 else arr)
-        return np.hstack(cols)
+        """``values``, the (n_draws, n_params) array in ``names`` order."""
+        return self.values
 
     def column(self, name: str) -> np.ndarray:
-        idx = self.names.index(name)
-        return self.matrix()[:, idx]
+        return self.values[:, self.names.index(name)]
 
 
 def color_classes(g: Graph) -> list:
@@ -469,8 +478,10 @@ def fit(
     (sparse), or None (nonspatial). ``prior_only`` disables the likelihood,
     targeting the joint prior. ``fixed_tau`` / ``fixed_sigma2`` hold those
     parameters at the given values. ``stream`` is an optional callable
-    receiving (names, row) for every retained draw, used to write chains to
-    disk incrementally and bound memory.
+    receiving (names, row) for every retained draw as it is kept, such as an
+    ``io.RowWriter`` that writes the chain to disk as it runs. ``row`` is the
+    draw's row of ``Chain.values`` itself, not a copy: a stream that keeps
+    rows copies them, and none may write to them.
     """
     t_start = time.perf_counter()
     X, Z = data.X, data.Z
@@ -563,20 +574,14 @@ def fit(
     target_mv = cfg.target_accept_multivariate
     target_uv = cfg.target_accept_univariate
 
-    n_keep = (cfg.iterations - cfg.burn_in) // cfg.thin
-    draws = {"beta": np.empty((n_keep, p))}
-    if k:
-        draws["effects"] = np.empty((n_keep, k))
-    if spatial:
-        draws["tau"] = np.empty(n_keep)
-    if gaussian:
-        draws["sigma2"] = np.empty(n_keep)
     names = tuple(
         [f"beta.{nm}" for nm in X.names]
         + [f"effect.{i}" for i in range(k)]
         + (["tau"] if spatial else [])
         + (["sigma2"] if gaussian else [])
     )
+    # the retained draws, one row each, in names order
+    values = np.empty(((cfg.iterations - cfg.burn_in) // cfg.thin, len(names)))
 
     accepted = {"beta": 0.0, "effects": 0.0}
     proposed = {"beta": 0, "effects": 0}
@@ -667,23 +672,14 @@ def fit(
                 state.tau = gibbs_tau(rng, pr, car_k, quad)
 
         if t > cfg.burn_in and (t - cfg.burn_in) % cfg.thin == 0:
-            effects = state.effects if V is None else V @ state.effects
-            draws["beta"][kept] = state.beta
-            if k:
-                draws["effects"][kept] = effects
+            row = values[kept]
+            row[:p] = state.beta
+            row[p : p + k] = state.effects if V is None else V @ state.effects
             if spatial:
-                draws["tau"][kept] = state.tau
+                row[p + k] = state.tau
             if gaussian:
-                draws["sigma2"][kept] = state.sigma2
+                row[-1] = state.sigma2
             if stream is not None:
-                row = np.concatenate(
-                    [
-                        state.beta,
-                        effects,
-                        [state.tau] if spatial else [],
-                        [state.sigma2] if gaussian else [],
-                    ]
-                )
                 stream(names, row)
             kept += 1
 
@@ -695,7 +691,7 @@ def fit(
             rates["effects"] = accepted["effects"] / proposed["effects"]
 
     return Chain(
-        draws=draws,
+        values=values,
         names=names,
         acceptance_rates=rates,
         wall_time=time.perf_counter() - t_start,

@@ -25,6 +25,7 @@ __all__ = [
     "mcse",
     "summarize_chain",
     "summarize_draws",
+    "summarize_matrix",
     "fitted_surface",
     "error_norm",
     "effect_correlations",
@@ -121,12 +122,15 @@ def _mcse_rows(x: np.ndarray) -> np.ndarray:
     return np.sqrt(asym_var / (a * b))
 
 
-def _summarize_rows(x: np.ndarray, level: float) -> list:
-    """A ParamSummary for each row of the (params, draws) array x.
+def summarize_matrix(draws: np.ndarray, names, level: float = 0.95) -> FitSummary:
+    """Per-parameter summaries of a (draws, params) array, column j names[j].
 
-    Every statistic is taken along axis 1, with the same arithmetic for each
-    row as for a single sequence of draws.
+    The one summarizer: a chain, a chain CSV, pooled chains and a single
+    sequence of draws are all summarized here. The columns are copied into
+    one contiguous (params, draws) array and every statistic is taken along
+    its rows, with the same arithmetic for each as for a single sequence.
     """
+    x = np.ascontiguousarray(np.asarray(draws, dtype=float).T)
     n = x.shape[1]
     if n == 0:
         raise ValueError("cannot summarize an empty draw sequence")
@@ -140,19 +144,21 @@ def _summarize_rows(x: np.ndarray, level: float) -> list:
     else:
         se = np.zeros(x.shape[0])
     columns = (x.mean(axis=1), eqt_lo, eqt_hi, hpd_lo, hpd_hi, se)
-    return [ParamSummary(*row) for row in zip(*(c.tolist() for c in columns))]
+    params = [ParamSummary(*row) for row in zip(*(c.tolist() for c in columns))]
+    return FitSummary(level=level, params=dict(zip(names, params)))
 
 
 def summarize_draws(draws: np.ndarray, level: float = 0.95) -> ParamSummary:
-    return _summarize_rows(np.asarray(draws, dtype=float).reshape(1, -1), level)[0]
+    """``summarize_matrix`` of one sequence of draws."""
+    return summarize_matrix(np.reshape(draws, (-1, 1)), ["draws"], level).params["draws"]
 
 
 def summarize_chain(chain, level: float = 0.95, include_effects: bool = True) -> FitSummary:
     """Per-parameter posterior mean, equal-tailed and HPD intervals, MCSE.
 
     Depends only on the retained draws, so any thinning that preserves the
-    retained set leaves the summary unchanged. All parameters are summarized
-    at once, from one contiguous (params, draws) array.
+    retained set leaves the summary unchanged. ``summarize_matrix`` of the
+    chain's array, without the effect columns unless ``include_effects``.
     """
     if chain.n_draws == 0:
         raise ValueError("cannot summarize an empty chain")
@@ -161,9 +167,8 @@ def summarize_chain(chain, level: float = 0.95, include_effects: bool = True) ->
         for j, name in enumerate(chain.names)
         if include_effects or not name.startswith("effect.")
     ]
-    x = np.ascontiguousarray(chain.matrix()[:, keep].T)
-    names = [chain.names[j] for j in keep]
-    return FitSummary(level=level, params=dict(zip(names, _summarize_rows(x, level))))
+    draws = chain.matrix() if len(keep) == len(chain.names) else chain.matrix()[:, keep]
+    return summarize_matrix(draws, [chain.names[j] for j in keep], level)
 
 
 # sites per block of the fitted surface. A product over a block of rows may
@@ -179,8 +184,9 @@ def fitted_surface(chain, spec: ModelSpec, X: DesignMatrix, basis) -> np.ndarray
     """
     eb = effect_basis(spec, basis)
     mean = FAMILY[spec.family].mean
-    betas = chain.draws["beta"].T
-    effects = chain.draws["effects"].T if "effects" in chain.draws else None
+    draws = chain.draws
+    betas = draws["beta"].T
+    effects = draws["effects"].T if "effects" in draws else None
     log_offset = None if spec.offset is None else np.log(spec.offset)
     out = np.empty(X.n)
     for start in range(0, X.n, _FITTED_BLOCK):
@@ -231,9 +237,9 @@ def effect_correlations(
     of ``subsample_size`` pairs is used. Zero-variance effects are excluded
     and reported.
     """
-    if "effects" not in chain.draws:
+    effects = chain.draws.get("effects")
+    if effects is None:
         raise ValueError("chain has no random effects")
-    effects = chain.draws["effects"]
     d, k = effects.shape
     if k < 2:
         raise ValueError("need at least 2 effects for pairwise correlations")

@@ -1,5 +1,6 @@
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -55,6 +56,15 @@ def test_malformed_row_reports_line_number(tmp_path):
     path.write_text("a,b\n1,2\n3\n")
     with pytest.raises(ValueError, match=":3"):
         read_table(path)
+
+
+@pytest.mark.parametrize("lengths", [(3, 2), (2, 3)])
+def test_write_table_rejects_ragged_columns(tmp_path, lengths):
+    # a shorter later column is a validation error, and a longer one is not
+    # cut to the length of the first
+    cols = {"a": np.zeros(lengths[0]), "b": np.ones(lengths[1])}
+    with pytest.raises(ValueError, match="ragged table"):
+        write_table(tmp_path / "t.csv", ["a", "b"], cols)
 
 
 def test_non_numeric_cell_reports_line(tmp_path):
@@ -269,11 +279,11 @@ def test_fit_sparse_writes_chain_summary_manifest(sim_dir):
     assert chain.n_rows == (3000 - 500) // 5
     assert chain.names[:2] == ["beta.x", "beta.y"]
     assert "tau" in chain.names
-    summary = json.loads(open(f"{prefix}_summary.json").read())
+    summary = json.loads(Path(f"{prefix}_summary.json").read_text())
     assert "beta.x" in summary["params"]
     for key in ("mean", "eqt_lo", "eqt_hi", "hpd_lo", "hpd_hi", "mcse"):
         assert key in summary["params"]["beta.x"]
-    manifest = json.loads(open(f"{prefix}_manifest.json").read())
+    manifest = json.loads(Path(f"{prefix}_manifest.json").read_text())
     assert manifest["settings"]["seed"] == 7
     assert "versions" in manifest
     fitted = read_table(f"{prefix}_fitted.csv")
@@ -340,7 +350,7 @@ def test_fit_nonspatial_uses_irls(sim_dir):
         ]
     )
     assert code == 0
-    doc = json.loads(open(f"{prefix}_summary.json").read())
+    doc = json.loads(Path(f"{prefix}_summary.json").read_text())
     assert doc["model"] == "nonspatial"
     assert doc["converged"]
     assert set(doc["beta_hat"]) == {"x", "y"}
@@ -509,6 +519,29 @@ def test_summarize_command(sim_dir, tmp_path):
     assert p["hpd_hi"] - p["hpd_lo"] <= p["eqt_hi"] - p["eqt_lo"] + 1e-12
 
 
+def test_summarize_reproduces_fit_summary(sim_dir, tmp_path):
+    # the chain CSV holds every draw to 17 significant digits, so summarizing
+    # it gives back the fit's own summary of its draws exactly
+    prefix = tmp_path / "fit"
+    code = run(
+        [
+            "fit", "--model", "rhz", "--family", "bernoulli",
+            "--data", sim_dir / "toy_data.csv", "--graph", sim_dir / "toy_graph.edges",
+            "--seed", "3", "--iterations", "1500", "--burn-in", "500", "--thin", "4",
+            "--level", "0.9", "--out-prefix", prefix,
+        ]
+    )
+    assert code == 0
+    out = tmp_path / "s.json"
+    chain = f"{prefix}_chain.csv"
+    assert run(["summarize", "--chain", chain, "--level", "0.9", "--out", out]) == 0
+    fitted = json.loads(Path(f"{prefix}_summary.json").read_text())
+    summarized = json.loads(out.read_text())
+    assert summarized["n_draws"] == fitted["n_draws"] == 250
+    assert summarized["level"] == fitted["level"] == 0.9
+    assert summarized["params"] == fitted["params"]
+
+
 def test_summarize_empty_chain_fails(tmp_path):
     chain = tmp_path / "c.csv"
     chain.write_text("beta.x\n")
@@ -583,7 +616,7 @@ def test_chain_writer_bytes_match_csv_writer(tmp_path):
     # the reference is csv.writer over f"{v:.17g}" cells of numpy scalars
     import csv
 
-    from sglmm.cli import _ChainWriter
+    from sglmm.io import RowWriter
 
     rng = np.random.default_rng(0)
     rows = rng.standard_normal((300, 403)) * np.logspace(-300, 300, 403)
@@ -591,7 +624,7 @@ def test_chain_writer_bytes_match_csv_writer(tmp_path):
     rows[1, :3] = [1 / 3, 1e16, np.nan]
     names = [f"c.{i}" for i in range(403)]
 
-    writer = _ChainWriter(tmp_path / "new.csv")
+    writer = RowWriter(tmp_path / "new.csv")
     try:
         for row in rows:
             writer(names, row)

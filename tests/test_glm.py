@@ -129,6 +129,19 @@ def test_rejects_rank_deficient_design():
         irls_fit("gaussian", X, np.zeros(10))
 
 
+def test_irls_rejects_offset_of_wrong_shape_or_sign():
+    X = np.column_stack([np.ones(6), np.arange(6.0)])
+    Z = np.array([0.0, 1.0, 2.0, 1.0, 3.0, 4.0])
+    for offset in ([2.0], np.ones(5)):
+        with pytest.raises(ValueError, match="offset must have length 6"):
+            irls_fit("poisson", X, Z, offset=offset)
+    # a zero exposure used to give beta_hat = [nan, nan] and converged=False
+    with pytest.raises(ValueError, match="positive; entry 3 is 0"):
+        irls_fit("poisson", X, Z, offset=[1.0, 2.0, 3.0, 0.0, 5.0, 6.0])
+    with pytest.raises(ValueError, match="positive; entry 1 is nan"):
+        irls_fit("poisson", X, Z, offset=[1.0, np.nan, 3.0, 4.0, 5.0, 6.0])
+
+
 def test_offset_gaussian_rejected():
     with pytest.raises(ValueError, match="poisson"):
         irls_fit("gaussian", np.ones((5, 1)), np.zeros(5), offset=np.ones(5))

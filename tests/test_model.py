@@ -88,6 +88,16 @@ def test_linear_predictor_traditional_adds_w(small_problem):
     assert np.allclose(eta, X.X @ beta + W)
 
 
+def test_linear_predictor_rejects_offset_of_wrong_shape(small_problem):
+    # a length-1 offset is not broadcast to every site
+    g, X, mb = small_problem
+    state = ParameterState(beta=np.zeros(2), effects=np.zeros(4))
+    for offset in ([5.0], np.ones(24), np.ones((25, 1))):
+        spec = ModelSpec("poisson", "sparse", q=4, offset=offset)
+        with pytest.raises(ValueError, match="offset must have length 25"):
+            linear_predictor(spec, X, mb, state)
+
+
 def test_linear_predictor_dimension_check(small_problem):
     g, X, mb = small_problem
     spec = ModelSpec("bernoulli", "sparse", q=4)

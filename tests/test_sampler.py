@@ -655,6 +655,18 @@ def test_adaptation_freezes_after_burn_in():
     assert c_short.step_sizes == c_long.step_sizes
 
 
+def test_fit_rejects_offset_not_one_per_site():
+    # a length-1 offset used to be broadcast to all 16 sites, and a chain ran
+    g = build_lattice(4, 4)
+    X = lattice_design(g)
+    data = Dataset(X=X, Z=np.ones(16))
+    cfg = McmcConfig(iterations=50, burn_in=10, seed=0)
+    for offset in ([5.0], np.full(15, 5.0)):
+        spec = ModelSpec("poisson", "traditional", offset=offset)
+        with pytest.raises(ValueError, match="offset must have length 16"):
+            fit(spec, data, laplacian(g), cfg)
+
+
 def test_initial_nonfinite_posterior_rejected():
     # a poisson response too large for the IRLS start would overflow exp;
     # fabricate by passing an absurd offset scale

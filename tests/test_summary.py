@@ -19,8 +19,15 @@ from sglmm.summary import (
 
 
 def make_chain(draws_dict, names, spec=None):
+    # the chain's one (draws, params) array: the blocks side by side in the
+    # order beta, effects, tau, sigma2; without names, the beta and effect
+    # columns are numbered
+    if not names:
+        names = [f"beta.{i}" for i in range(draws_dict["beta"].shape[1])]
+        names += [f"effect.{i}" for i in range(draws_dict["effects"].shape[1])]
+    blocks = ("beta", "effects", "tau", "sigma2")
     return Chain(
-        draws=draws_dict,
+        values=np.column_stack([draws_dict[key] for key in blocks if key in draws_dict]),
         names=tuple(names),
         acceptance_rates={},
         wall_time=0.0,
