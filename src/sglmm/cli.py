@@ -53,7 +53,7 @@ from .model import (
 )
 from .sampler import Chain, McmcConfig, fit as run_mcmc
 from .simulate import PRESETS, simulate_dataset
-from .summary import fitted_surface, error_norm, summarize_chain, summarize_matrix
+from .summary import check_level, fitted_surface, error_norm, summarize_chain, summarize_matrix
 
 # the model's own settings, then one key per field of PriorSet and McmcConfig
 CONFIG_KEYS = ("family", "parameterization", "q") + tuple(
@@ -304,6 +304,7 @@ def _chain_summary_doc(chain: Chain, level: float) -> dict:
 
 
 def _cmd_fit(args, argv):
+    check_level(args.level)
     if args.chains < 1:
         raise ValueError(f"--chains must be at least 1, got {args.chains}")
     settings = {}
@@ -397,6 +398,7 @@ def _write_fitted(prefix, X, fitted):
 
 
 def _cmd_summarize(args, argv):
+    check_level(args.level)
     table = read_table(args.chain)
     if table.n_rows == 0:
         raise ValueError(f"{args.chain}: chain is empty")

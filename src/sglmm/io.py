@@ -12,6 +12,7 @@ and MCMC field names exactly, and unknown keys are rejected.
 
 from __future__ import annotations
 
+import array
 import csv
 import math
 
@@ -90,7 +91,10 @@ def write_table(path, names, columns) -> None:
 
 
 def read_table(path) -> Table:
-    """Parse a numeric CSV; header is required, NaN and ragged rows rejected."""
+    """Parse a numeric CSV; header is required, NaN and ragged rows rejected.
+
+    Columns grow as 8-byte doubles that the table's arrays then share.
+    """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -100,7 +104,7 @@ def read_table(path) -> Table:
         names = [h.strip() for h in header]
         if any(not name for name in names):
             raise ValueError(f"{path}:1: empty column name in header")
-        data = [[] for _ in names]
+        data = [array.array("d") for _ in names]
         for lineno, row in enumerate(reader, start=2):
             if not row or (len(row) == 1 and not row[0].strip()):
                 continue
@@ -118,7 +122,7 @@ def read_table(path) -> Table:
                 if math.isnan(value):
                     raise ValueError(f"{path}:{lineno}: NaN in field {names[j]!r}")
                 data[j].append(value)
-    return Table(names, {name: np.array(col) for name, col in zip(names, data)})
+    return Table(names, {name: np.frombuffer(col) for name, col in zip(names, data)})
 
 
 def read_config(path, allowed_keys) -> dict:

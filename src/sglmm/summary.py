@@ -5,6 +5,9 @@ default, type 7). HPD intervals are contiguous, found by scanning the
 shortest window of ceil(level * N) consecutive sorted draws, which keeps
 them no wider than the equal-tailed interval. Monte Carlo standard errors
 use the consistent batch-means estimator with batch size floor(sqrt(N)).
+Both passes over the retained draws, the summaries and the fitted surface,
+work in blocks of columns or sites of at most ``_BLOCK_VALUES`` values over
+all the draws, so their working memory does not grow with the chain.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from .model import FAMILY, ModelSpec, effect_basis
 __all__ = [
     "ParamSummary",
     "FitSummary",
+    "check_level",
     "CorrelationHistogram",
     "equal_tailed_interval",
     "hpd_interval",
@@ -62,6 +66,12 @@ class FitSummary:
             "level": self.level,
             "params": {k: v.as_dict() for k, v in self.params.items()},
         }
+
+
+def check_level(level: float) -> None:
+    """Raise a ValueError naming ``level`` unless it lies in (0, 1)."""
+    if not 0.0 < level < 1.0:
+        raise ValueError(f"level must be in (0, 1), got {level}")
 
 
 def equal_tailed_interval(draws: np.ndarray, level: float = 0.95):
@@ -122,29 +132,53 @@ def _mcse_rows(x: np.ndarray) -> np.ndarray:
     return np.sqrt(asym_var / (a * b))
 
 
+# float64 values in one block of a pass over the draws (256 KiB)
+_BLOCK_VALUES = 2**15
+
+
+def _blocks(n_items: int, n_draws: int):
+    """Slices of range(n_items), each of max(1, _BLOCK_VALUES // n_draws) items."""
+    width = max(1, _BLOCK_VALUES // max(n_draws, 1))
+    return [slice(start, start + width) for start in range(0, n_items, width)]
+
+
 def summarize_matrix(draws: np.ndarray, names, level: float = 0.95) -> FitSummary:
     """Per-parameter summaries of a (draws, params) array, column j names[j].
 
     The one summarizer: a chain, a chain CSV, pooled chains and a single
-    sequence of draws are all summarized here. The columns are copied into
-    one contiguous (params, draws) array and every statistic is taken along
-    its rows, with the same arithmetic for each as for a single sequence.
+    sequence of draws are all summarized here. Raises ValueError for a
+    ``level`` outside (0, 1).
     """
-    x = np.ascontiguousarray(np.asarray(draws, dtype=float).T)
-    n = x.shape[1]
+    draws = np.asarray(draws, dtype=float)
+    return _summarize_columns(draws, range(draws.shape[1]), names, level)
+
+
+def _summarize_columns(draws: np.ndarray, columns, names, level: float) -> FitSummary:
+    """``summarize_matrix`` of ``draws[:, columns]``, without that copy.
+
+    A block of columns at a time is copied into a contiguous (block, draws)
+    array, and every statistic is taken along its rows with the same
+    arithmetic as for a single sequence: mean and MCSE in draw order, then
+    quantiles and HPD window of the rows sorted in place.
+    """
+    check_level(level)
+    n = draws.shape[0]
     if n == 0:
         raise ValueError("cannot summarize an empty draw sequence")
     alpha = (1.0 - level) / 2.0
-    eqt_lo, eqt_hi = np.quantile(x, [alpha, 1.0 - alpha], axis=1)
-    hpd_lo, hpd_hi = _hpd_rows(np.sort(x, axis=1), level)
-    if n >= 100:
-        se = _mcse_rows(x)
-    elif n > 1:
-        se = np.std(x, axis=1, ddof=1) / np.sqrt(n)
-    else:
-        se = np.zeros(x.shape[0])
-    columns = (x.mean(axis=1), eqt_lo, eqt_hi, hpd_lo, hpd_hi, se)
-    params = [ParamSummary(*row) for row in zip(*(c.tolist() for c in columns))]
+    # rows: mean, eqt_lo, eqt_hi, hpd_lo, hpd_hi, mcse
+    stats = np.zeros((6, len(columns)))
+    for block in _blocks(len(columns), n):
+        x = draws[:, columns[block]].T.copy()
+        stats[0, block] = x.mean(axis=1)
+        if n >= 100:
+            stats[5, block] = _mcse_rows(x)
+        elif n > 1:
+            stats[5, block] = np.std(x, axis=1, ddof=1) / np.sqrt(n)
+        x.sort(axis=1)
+        stats[1:3, block] = np.quantile(x, [alpha, 1.0 - alpha], axis=1)
+        stats[3:5, block] = _hpd_rows(x, level)
+    params = [ParamSummary(*row) for row in stats.T.tolist()]
     return FitSummary(level=level, params=dict(zip(names, params)))
 
 
@@ -167,20 +201,16 @@ def summarize_chain(chain, level: float = 0.95, include_effects: bool = True) ->
         for j, name in enumerate(chain.names)
         if include_effects or not name.startswith("effect.")
     ]
-    draws = chain.matrix() if len(keep) == len(chain.names) else chain.matrix()[:, keep]
-    return summarize_matrix(draws, [chain.names[j] for j in keep], level)
-
-
-# sites per block of the fitted surface. A product over a block of rows may
-# round differently in the last bit from one product over all sites
-_FITTED_BLOCK = 288
+    return _summarize_columns(chain.matrix(), keep, [chain.names[j] for j in keep], level)
 
 
 def fitted_surface(chain, spec: ModelSpec, X: DesignMatrix, basis) -> np.ndarray:
     """Posterior mean of g^{-1}(eta) over the retained draws.
 
-    eta is built for ``_FITTED_BLOCK`` sites at a time, so the memory beyond
-    the draws is O(draws), not O(n x draws).
+    eta is built for a block of sites over all the draws at a time, so the
+    memory beyond the inputs is O(_BLOCK_VALUES), not O(n x draws). A
+    product over a block of rows may round differently in the last bit from
+    one product over all sites.
     """
     eb = effect_basis(spec, basis)
     mean = FAMILY[spec.family].mean
@@ -189,8 +219,7 @@ def fitted_surface(chain, spec: ModelSpec, X: DesignMatrix, basis) -> np.ndarray
     effects = draws["effects"].T if "effects" in draws else None
     log_offset = None if spec.offset is None else np.log(spec.offset)
     out = np.empty(X.n)
-    for start in range(0, X.n, _FITTED_BLOCK):
-        rows = slice(start, start + _FITTED_BLOCK)
+    for rows in _blocks(X.n, chain.n_draws):
         eta = X.X[rows] @ betas  # (block, draws)
         if effects is not None:
             eta = eta + (effects[rows] if eb.B is None else eb.B[rows] @ effects)

@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
@@ -435,30 +433,20 @@ def test_dense_moran_basis_matches_full_eigh(case, eigensolver):
     assert np.abs(by_threshold.eigenvalues - ref_vals[:q]).max() <= 1e-12 * size
 
 
-def _traced_peak(*args, **kwargs) -> int:
-    moran_basis(*args, **kwargs)  # first call loads the solver wrappers
-    tracemalloc.start()
-    try:
-        moran_basis(*args, **kwargs)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
-def test_dense_moran_basis_memory_is_one_n_by_n_buffer(eigensolver):
+def test_dense_moran_basis_memory_is_one_n_by_n_buffer(eigensolver, traced_peak):
     # P A P is built in the buffer of the dense adjacency and the solver
     # writes only the q kept eigenvectors, so the traced peak stays near one
     # n x n float array (LAPACK's O(n) workspace aside)
     eigensolver("dense")
     g = build_lattice(30, 30)
-    assert _traced_peak(lattice_design(g), g, q=50) < 1.5 * g.n**2 * 8
+    assert traced_peak(moran_basis, lattice_design(g), g, q=50) < 1.5 * g.n**2 * 8
 
 
-def test_shift_invert_moran_basis_forms_no_n_by_n_matrix():
+def test_shift_invert_moran_basis_forms_no_n_by_n_matrix(traced_peak):
     # at q = 50 on 40x40 the rule picks shift-invert Lanczos, whose memory
     # is the sparse LU and O(n q) vectors: far below one n x n float array
     g = build_lattice(40, 40)
-    assert _traced_peak(lattice_design(g), g, q=50) < 0.3 * g.n**2 * 8
+    assert traced_peak(moran_basis, lattice_design(g), g, q=50) < 0.3 * g.n**2 * 8
 
 
 @st.composite

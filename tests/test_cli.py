@@ -1,13 +1,18 @@
 import json
 import os
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse.linalg
+from hypothesis import assume, given, settings
+from test_basis import _irregular_graphs
 
+from sglmm.basis import moran_spectrum
 from sglmm.cli import CONFIG_KEYS, _mcmc_from_settings, _spec_from_settings, dispatch
+from sglmm.graph import write_edge_list
 from sglmm.io import read_config, read_table, write_table
 from sglmm.model import PriorSet
 from sglmm.sampler import McmcConfig
@@ -79,6 +84,16 @@ def test_nan_rejected(tmp_path):
     path.write_text("a\nnan\n")
     with pytest.raises(ValueError, match="NaN"):
         read_table(path)
+
+
+def test_read_table_holds_values_in_8_byte_columns(tmp_path, traced_peak):
+    # columns grow as 8-byte doubles, not as lists of Python floats
+    values = np.random.default_rng(2).standard_normal((400, 903))
+    names = [f"c{j}" for j in range(values.shape[1])]
+    path = tmp_path / "chain.csv"
+    write_table(path, names, list(values.T))
+    assert np.array_equal(read_table(path).matrix(), values)
+    assert traced_peak(read_table, path) < 3 * values.nbytes
 
 
 def test_config_parse_and_unknown_key(tmp_path):
@@ -509,14 +524,48 @@ def test_fit_offset_column(tmp_path):
 
 
 def test_summarize_command(sim_dir, tmp_path):
+    prefix = tmp_path / "fit"
+    code = run(
+        [
+            "fit", "--model", "sparse", "--family", "bernoulli", "--q", "6",
+            "--data", sim_dir / "toy_data.csv", "--graph", sim_dir / "toy_graph.edges",
+            "--seed", "7", "--iterations", "1000", "--burn-in", "200", "--thin", "4",
+            "--out-prefix", prefix,
+        ]
+    )
+    assert code == 0
     out = tmp_path / "s.json"
-    code = run(["summarize", "--chain", f"{sim_dir}/fit_sparse_chain.csv", "--out", out])
+    code = run(["summarize", "--chain", f"{prefix}_chain.csv", "--out", out])
     assert code == 0
     doc = json.loads(out.read_text())
     assert doc["level"] == 0.95
     assert "tau" in doc["params"]
     p = doc["params"]["tau"]
     assert p["hpd_hi"] - p["hpd_lo"] <= p["eqt_hi"] - p["eqt_lo"] + 1e-12
+
+
+@pytest.mark.parametrize("level", ["0", "-0.5", "1", "1.5"])
+def test_summarize_rejects_level_outside_unit_interval(tmp_path, capsys, level):
+    chain = tmp_path / "c.csv"
+    write_table(chain, ["beta.x", "tau"], [np.linspace(0, 1, 50), np.linspace(1, 2, 50)])
+    out = tmp_path / "s.json"
+    assert run(["summarize", "--chain", chain, "--level", level, "--out", out]) == 1
+    assert "level" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_fit_rejects_level_outside_unit_interval_before_any_work(sim_dir, tmp_path, capsys):
+    code = run(
+        [
+            "fit", "--model", "sparse", "--family", "bernoulli", "--q", "6",
+            "--data", sim_dir / "toy_data.csv", "--graph", sim_dir / "toy_graph.edges",
+            "--seed", "7", "--iterations", "300", "--burn-in", "100",
+            "--level", "1.5", "--out-prefix", tmp_path / "fit",
+        ]
+    )
+    assert code == 1
+    assert "level" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_summarize_reproduces_fit_summary(sim_dir, tmp_path):
@@ -681,3 +730,42 @@ def test_fit_validation_errors(sim_dir, tmp_path):
             ]
         )
         assert code == 1
+
+
+# islands, hubs and isolated vertices; every model and family must fit with
+# finite draws and a finite fitted surface
+@pytest.mark.slow
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(case=_irregular_graphs())
+def test_fit_on_irregular_graphs_exits_0_with_finite_outputs(case):
+    g, X, q = case
+    vals, _ = moran_spectrum(X, g)
+    q = min(q, int(np.sum(vals > 1e-6 * max(abs(vals[0]), 1.0))))
+    assume(q >= 1)
+    rng = np.random.default_rng(g.n)
+    responses = {
+        "bernoulli": rng.integers(0, 2, g.n),
+        "poisson": rng.poisson(3.0, g.n),
+        "gaussian": X @ [0.5, 1.0] + rng.standard_normal(g.n),
+    }
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        graph = tmp / "g.edges"
+        write_edge_list(graph, g)
+        for family, z in responses.items():
+            data = tmp / f"{family}.csv"
+            write_table(data, ["z", "one", "x"], [z.astype(float), X[:, 0], X[:, 1]])
+            for model in ("traditional", "rhz", "sparse"):
+                prefix = tmp / f"{family}_{model}"
+                code = run(
+                    [
+                        "fit", "--model", model, "--family", family,
+                        "--data", data, "--graph", graph, "--seed", "1",
+                        "--iterations", "400", "--burn-in", "100", "--thin", "1",
+                        "--out-prefix", prefix,
+                    ]
+                    + (["--q", q] if model == "sparse" else [])
+                )
+                assert code == 0, (family, model)
+                assert np.all(np.isfinite(read_table(f"{prefix}_chain.csv").matrix()))
+                assert np.all(np.isfinite(read_table(f"{prefix}_fitted.csv")["fitted"]))

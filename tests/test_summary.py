@@ -15,6 +15,7 @@ from sglmm.summary import (
     mcse,
     summarize_chain,
     summarize_draws,
+    summarize_matrix,
 )
 
 
@@ -172,9 +173,62 @@ def test_summarize_chain_equals_per_column_summaries(n_draws, include_effects):
             assert s.mcse == mcse(col)
 
 
+def test_blocked_summaries_equal_per_column_summaries():
+    # 903 columns of 400 draws span several blocks of columns; each column's
+    # summary is still exactly the one of its own sequence, ties included
+    rng = np.random.default_rng(8)
+    mat = np.cumsum(rng.standard_normal((400, 903)), axis=0)
+    mat[:, ::7] = np.round(mat[:, ::7])
+    names = [f"c{j}" for j in range(mat.shape[1])]
+    fs = summarize_matrix(mat, names, level=0.9)
+    assert list(fs.params) == names
+    for j, name in enumerate(names):
+        col = mat[:, j]
+        s = fs.params[name]
+        assert s == summarize_draws(col, level=0.9)
+        assert s.mean == float(col.mean())
+        assert (s.eqt_lo, s.eqt_hi) == equal_tailed_interval(col, level=0.9)
+        assert (s.hpd_lo, s.hpd_hi) == hpd_interval(col, level=0.9)
+        assert s.mcse == mcse(col)
+
+
+@pytest.mark.parametrize("level", [0.0, 1.0, -0.5, 1.5, float("nan")])
+def test_summarize_matrix_rejects_level_outside_unit_interval(level):
+    draws = np.random.default_rng(0).standard_normal((200, 3))
+    with pytest.raises(ValueError, match="level"):
+        summarize_matrix(draws, ["a", "b", "c"], level=level)
+
+
+def test_summarize_matrix_memory_is_a_fraction_of_the_chain(traced_peak):
+    # the columns are summarized a block at a time, not transposed and
+    # sorted as a whole
+    draws = np.random.default_rng(1).standard_normal((4000, 903))
+    names = [f"c{j}" for j in range(draws.shape[1])]
+    assert traced_peak(summarize_matrix, draws, names) < draws.nbytes / 4
+
+
+@pytest.mark.parametrize("n_draws", [2_000, 20_000])
+def test_fitted_surface_memory_does_not_grow_with_draws(n_draws, traced_peak):
+    # eta is built for a block of sites over all the draws, and the block
+    # shrinks as the chain grows: one fixed bound at 2000 and 20000 draws
+    g = build_lattice(30, 30)
+    X = lattice_design(g)
+    mb = moran_basis(X, g, q=50)
+    spec = ModelSpec("bernoulli", "sparse", q=50)
+    rng = np.random.default_rng(4)
+    draws = {
+        "beta": rng.standard_normal((n_draws, 2)),
+        "effects": 0.3 * rng.standard_normal((n_draws, 50)),
+        "tau": rng.gamma(2.0, 1.0, n_draws),
+    }
+    names = [f"beta.{n}" for n in X.names] + [f"effect.{i}" for i in range(50)] + ["tau"]
+    chain = make_chain(draws, names, spec)
+    assert traced_peak(fitted_surface, chain, spec, X, mb) < 2 * 2**20
+
+
 @pytest.mark.parametrize("model", ["traditional", "rhz", "sparse"])
 def test_fitted_surface_blocks_match_one_shot(model):
-    # 437 sites: one full block of sites and a partial one, with an offset
+    # 437 sites in several blocks of sites and a partial one, with an offset
     g = build_lattice(19, 23)
     X = lattice_design(g)
     if model == "traditional":
