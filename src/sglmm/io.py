@@ -22,28 +22,34 @@ __all__ = ["Table", "RowWriter", "read_table", "write_table", "read_config"]
 
 
 class Table:
-    """Column-oriented numeric table with ordered names."""
+    """Numeric table with ordered names, held as one (rows, columns) array.
 
-    def __init__(self, names, columns):
+    ``values`` is that row-major float array, ``table[name]`` a view of one
+    of its columns, and ``matrix()`` of all the columns in order is
+    ``values`` itself, not a copy.
+    """
+
+    def __init__(self, names, values):
         self.names = list(names)
-        self.columns = {name: np.asarray(columns[name], dtype=float) for name in self.names}
-        lengths = {c.shape[0] for c in self.columns.values()}
-        if len(lengths) > 1:
-            raise ValueError(f"ragged table: column lengths {sorted(lengths)}")
+        self.values = np.asarray(values, dtype=float)
+        if self.values.ndim != 2 or self.values.shape[1] != len(self.names):
+            raise ValueError(
+                f"table of {len(self.names)} names needs a 2-D array of as many "
+                f"columns, got shape {self.values.shape}"
+            )
 
     @property
     def n_rows(self) -> int:
-        if not self.names:
-            return 0
-        return self.columns[self.names[0]].shape[0]
+        return self.values.shape[0]
 
     def __getitem__(self, name: str) -> np.ndarray:
-        if name not in self.columns:
+        if name not in self.names:
             raise KeyError(f"table has no column {name!r}; columns: {', '.join(self.names)}")
-        return self.columns[name]
+        return self.values[:, self.names.index(name)]
 
     def matrix(self, names=None) -> np.ndarray:
-        names = self.names if names is None else list(names)
+        if names is None or list(names) == self.names:
+            return self.values
         return np.column_stack([self[name] for name in names]) if names else np.empty((0, 0))
 
 
@@ -83,17 +89,21 @@ def write_table(path, names, columns) -> None:
     """Write the equal-length ``columns`` (keyed by name, or in ``names``
     order) as a numeric CSV with header, through one ``RowWriter``."""
     names = list(names)
-    table = Table(names, columns if isinstance(columns, dict) else dict(zip(names, columns)))
+    columns = [columns[name] for name in names] if isinstance(columns, dict) else list(columns)
+    lengths = sorted({len(c) for c in columns})
+    if len(lengths) > 1:
+        raise ValueError(f"ragged table: column lengths {lengths}")
     with RowWriter(path) as write:
         write.header(names)
-        for row in table.matrix():
+        for row in np.column_stack(columns):
             write(names, row)
 
 
 def read_table(path) -> Table:
     """Parse a numeric CSV; header is required, NaN and ragged rows rejected.
 
-    Columns grow as 8-byte doubles that the table's arrays then share.
+    The values grow, row after row, in one flat buffer of 8-byte doubles
+    that becomes the table's (rows, columns) array without a copy.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -104,7 +114,7 @@ def read_table(path) -> Table:
         names = [h.strip() for h in header]
         if any(not name for name in names):
             raise ValueError(f"{path}:1: empty column name in header")
-        data = [array.array("d") for _ in names]
+        flat = array.array("d")
         for lineno, row in enumerate(reader, start=2):
             if not row or (len(row) == 1 and not row[0].strip()):
                 continue
@@ -121,8 +131,8 @@ def read_table(path) -> Table:
                     ) from None
                 if math.isnan(value):
                     raise ValueError(f"{path}:{lineno}: NaN in field {names[j]!r}")
-                data[j].append(value)
-    return Table(names, {name: np.frombuffer(col) for name, col in zip(names, data)})
+                flat.append(value)
+    return Table(names, np.frombuffer(flat).reshape(-1, len(names)))
 
 
 def read_config(path, allowed_keys) -> dict:

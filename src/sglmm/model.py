@@ -343,13 +343,14 @@ class ParameterState:
 
 @dataclass(frozen=True)
 class Dataset:
-    """Response vector paired with its design matrix."""
+    """Response vector paired with its design matrix; Z is held contiguous
+    (a column of a table is a strided view)."""
 
     X: DesignMatrix
     Z: np.ndarray
 
     def __post_init__(self):
-        Z = np.asarray(self.Z, dtype=float)
+        Z = np.ascontiguousarray(self.Z, dtype=float)
         if Z.shape != (self.X.n,):
             raise ValueError(f"response must have length {self.X.n}, got shape {Z.shape}")
         object.__setattr__(self, "Z", Z)

@@ -5,9 +5,10 @@ default, type 7). HPD intervals are contiguous, found by scanning the
 shortest window of ceil(level * N) consecutive sorted draws, which keeps
 them no wider than the equal-tailed interval. Monte Carlo standard errors
 use the consistent batch-means estimator with batch size floor(sqrt(N)).
-Both passes over the retained draws, the summaries and the fitted surface,
-work in blocks of columns or sites of at most ``_BLOCK_VALUES`` values over
-all the draws, so their working memory does not grow with the chain.
+Both passes over the retained draws work in blocks of at most
+``_BLOCK_VALUES`` values, so their working memory does not grow with the
+chain: the summaries in blocks of columns over all the draws, the fitted
+surface in tiles of sites by at most ``_TILE_DRAWS`` draws.
 """
 
 from __future__ import annotations
@@ -134,6 +135,9 @@ def _mcse_rows(x: np.ndarray) -> np.ndarray:
 
 # float64 values in one block of a pass over the draws (256 KiB)
 _BLOCK_VALUES = 2**15
+# draws in one tile of the fitted surface: a product over a tile reads
+# only its own draws, so the surface's time grows linearly with the chain
+_TILE_DRAWS = 2**10
 
 
 def _blocks(n_items: int, n_draws: int):
@@ -207,10 +211,11 @@ def summarize_chain(chain, level: float = 0.95, include_effects: bool = True) ->
 def fitted_surface(chain, spec: ModelSpec, X: DesignMatrix, basis) -> np.ndarray:
     """Posterior mean of g^{-1}(eta) over the retained draws.
 
-    eta is built for a block of sites over all the draws at a time, so the
-    memory beyond the inputs is O(_BLOCK_VALUES), not O(n x draws). A
-    product over a block of rows may round differently in the last bit from
-    one product over all sites.
+    eta is built for a tile of sites by at most ``_TILE_DRAWS`` draws at a
+    time, of at most ``_BLOCK_VALUES`` values, and the mean is summed over
+    the tiles of draws. Memory beyond the inputs is O(_BLOCK_VALUES) and
+    time is linear in the number of draws. A fitted value may differ in the
+    last bit from that of one product over all sites and draws.
     """
     eb = effect_basis(spec, basis)
     mean = FAMILY[spec.family].mean
@@ -218,15 +223,19 @@ def fitted_surface(chain, spec: ModelSpec, X: DesignMatrix, basis) -> np.ndarray
     betas = draws["beta"].T
     effects = draws["effects"].T if "effects" in draws else None
     log_offset = None if spec.offset is None else np.log(spec.offset)
-    out = np.empty(X.n)
-    for rows in _blocks(X.n, chain.n_draws):
-        eta = X.X[rows] @ betas  # (block, draws)
-        if effects is not None:
-            eta = eta + (effects[rows] if eb.B is None else eb.B[rows] @ effects)
-        if log_offset is not None:
-            eta = eta + log_offset[rows, None]
-        out[rows] = mean(eta).mean(axis=1)
-    return out
+    tile = max(1, min(chain.n_draws, _TILE_DRAWS))
+    out = np.zeros(X.n)
+    for start in range(0, chain.n_draws, tile):
+        cols = slice(start, start + tile)
+        for rows in _blocks(X.n, tile):
+            eta = X.X[rows] @ betas[:, cols]  # (sites, draws)
+            if effects is not None:
+                tile_effects = effects[:, cols]
+                eta = eta + (tile_effects[rows] if eb.B is None else eb.B[rows] @ tile_effects)
+            if log_offset is not None:
+                eta = eta + log_offset[rows, None]
+            out[rows] += mean(eta).sum(axis=1)
+    return out / chain.n_draws
 
 
 def error_norm(fitted: np.ndarray, truth: np.ndarray) -> float:

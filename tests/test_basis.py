@@ -449,6 +449,17 @@ def test_shift_invert_moran_basis_forms_no_n_by_n_matrix(traced_peak):
     assert traced_peak(moran_basis, lattice_design(g), g, q=50) < 0.3 * g.n**2 * 8
 
 
+def test_shift_invert_moran_basis_memory_is_a_few_n_by_q_arrays(traced_peak):
+    # above the dense limit the peak is set by the Lanczos vectors: ARPACK's
+    # n x ncv basis and scipy's n x ncv extraction buffer, then the n x q
+    # basis. With ncv = q + 20 it is about 3.7 n q 8 bytes on this graph
+    # (5.4 with scipy's default ncv = 2q + 1)
+    g, pts = _delaunay_graph(3000, 3)
+    X = np.column_stack([np.ones(g.n), pts])
+    q = 100
+    assert traced_peak(moran_basis, X, g, q=q) < 4.5 * g.n * q * 8
+
+
 @st.composite
 def _irregular_graphs(draw):
     # islands (random trees plus extra edges), hub vertices joined to half

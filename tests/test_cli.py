@@ -96,6 +96,18 @@ def test_read_table_holds_values_in_8_byte_columns(tmp_path, traced_peak):
     assert traced_peak(read_table, path) < 3 * values.nbytes
 
 
+def test_summarize_holds_one_copy_of_the_chain(tmp_path, traced_peak):
+    # the chain's values are read into one (draws, params) buffer that the
+    # summary reads in place: no second, stacked copy (2.1x before)
+    values = np.random.default_rng(3).standard_normal((400, 903))
+    names = [f"c{j}" for j in range(values.shape[1])]
+    chain = tmp_path / "chain.csv"
+    write_table(chain, names, list(values.T))
+    args = ["summarize", "--chain", chain, "--out", tmp_path / "s.json"]
+    assert traced_peak(run, args) < 1.5 * values.nbytes
+    assert run(args) == 0
+
+
 def test_config_parse_and_unknown_key(tmp_path):
     path = tmp_path / "cfg"
     path.write_text("# model\nfamily=bernoulli\nq=50\n")
@@ -353,6 +365,29 @@ def test_fit_above_dense_limit_counts_positive_eigenvalues(tmp_path, capsys):
     args[args.index("--q") + 1] = 2
     assert run(args + ["--out-prefix", tmp_path / "q2"]) == 0
     assert (tmp_path / "q2_chain.csv").exists()
+
+
+@pytest.mark.parametrize("model", ["nonspatial", "traditional", "rhz", "sparse"])
+def test_fit_rejects_non_finite_covariate(tmp_path, capsys, model):
+    # an infinite covariate used to give a NaN nonspatial summary, and a
+    # misleading eigenpair count for the sparse model
+    from sglmm.graph import build_lattice
+
+    g = build_lattice(5, 5)
+    write_edge_list(tmp_path / "g.edges", g)
+    x = g.coords[:, 0].copy()
+    x[7] = np.inf
+    z = (np.arange(g.n) % 2).astype(float)
+    write_table(tmp_path / "d.csv", ["z", "x", "y"], {"z": z, "x": x, "y": g.coords[:, 1]})
+    args = [
+        "fit", "--model", model, "--family", "bernoulli", "--q", "3",
+        "--data", tmp_path / "d.csv", "--graph", tmp_path / "g.edges",
+        "--seed", "1", "--iterations", "200", "--burn-in", "50",
+        "--out-prefix", tmp_path / "fit",
+    ]
+    assert run(args) == 1
+    assert "column 'x' has a non-finite value inf in row 7" in capsys.readouterr().err
+    assert not (tmp_path / "fit_chain.csv").exists()
 
 
 def test_fit_nonspatial_uses_irls(sim_dir):

@@ -75,7 +75,7 @@ def test_lattice_rejects_bad_dims():
 def test_graph_from_edges_valid():
     g = graph_from_edges(2, [(0, 1)])
     assert g.n == 2
-    assert g.edges == ((0, 1),)
+    assert g.edges.tolist() == [[0, 1]]
 
 
 def test_graph_from_edges_rejects_self_loop():
@@ -178,7 +178,7 @@ def test_edge_list_round_trip(tmp_path):
     write_edge_list(path, g)
     g2 = read_edge_list(path)
     assert g2.n == g.n
-    assert g2.edges == g.edges
+    assert np.array_equal(g2.edges, g.edges)
     header = path.read_text().splitlines()[0]
     assert header == "12 17"
 
@@ -187,7 +187,7 @@ def test_edge_list_comments_and_errors(tmp_path):
     path = tmp_path / "g.edges"
     path.write_text("# comment\n2 1\n0 1\n")
     g = read_edge_list(path)
-    assert g.n == 2 and g.edges == ((0, 1),)
+    assert g.n == 2 and g.edges.tolist() == [[0, 1]]
 
     bad = tmp_path / "bad.edges"
     bad.write_text("2 1\n1 0\n")
@@ -198,6 +198,75 @@ def test_edge_list_comments_and_errors(tmp_path):
     short.write_text("3 2\n0 1\n")
     with pytest.raises(ValueError, match="promises 2"):
         read_edge_list(short)
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [("2 1\n0 x\n", "2: expected 'i j', got '0 x'"),
+     ("# n m\n2 y\n0 1\n", "2: header must be 'n m', got '2 y'"),
+     ("3 2\n0 1\n\n1 2.5\n", "4: expected 'i j', got '1 2.5'")],
+)
+def test_edge_list_parse_errors_name_the_line(tmp_path, text, line):
+    path = tmp_path / "bad.edges"
+    path.write_text(text)
+    with pytest.raises(ValueError) as err:
+        read_edge_list(path)
+    assert str(err.value) == f"{path}:{line}"
+
+
+def test_read_edge_list_memory_per_edge(tmp_path, traced_peak):
+    # the pairs stream into one int64 buffer: no tuple per edge, no list of
+    # lines (about 485 bytes per edge before, about 95 now)
+    g = build_lattice(70, 70)
+    assert g.n_edges >= 9000
+    path = tmp_path / "g.edges"
+    write_edge_list(path, g)
+    assert traced_peak(read_edge_list, path) < 150 * g.n_edges
+
+
+def _reference_edges(n, edges):
+    """The validation loop over pairs: canonical sorted tuples, or the
+    message naming the first offending entry."""
+    seen, canonical = set(), []
+    for i, j in edges:
+        if i == j:
+            return f"self-loop ({i}, {j}) is not allowed"
+        if not (0 <= i < n) or not (0 <= j < n):
+            return f"edge ({i}, {j}) has a vertex index outside [0, {n})"
+        key = (min(i, j), max(i, j))
+        if key in seen:
+            return f"duplicate edge ({i}, {j})"
+        seen.add(key)
+        canonical.append(key)
+    return sorted(canonical)
+
+
+def test_graph_from_edges_matches_reference_loop():
+    # array validation names the same first offending entry and gives the
+    # same canonical order as the loop, on small random edge lists with
+    # self-loops, reversed pairs, duplicates and out-of-range indices
+    rng = np.random.default_rng(12)
+    for _ in range(2000):
+        n = int(rng.integers(1, 8))
+        edges = [tuple(int(v) for v in rng.integers(-1, n + 1, 2))
+                 for _ in range(int(rng.integers(0, 12)))]
+        if rng.random() < 0.6:
+            edges = [(i, j) for i, j in edges if 0 <= i < n and 0 <= j < n and i != j]
+        expected = _reference_edges(n, edges)
+        if isinstance(expected, str):
+            with pytest.raises(ValueError) as err:
+                graph_from_edges(n, edges)
+            assert str(err.value) == expected
+        else:
+            g = graph_from_edges(n, edges)
+            assert g.edges.tolist() == [list(e) for e in expected]
+            assert not g.edges.flags.writeable
+            A = np.zeros((n, n), dtype=np.int64)
+            for i, j in expected:
+                A[i, j] = A[j, i] = 1
+            assert np.array_equal(g.adjacency().toarray(), A)
+            assert g.adjacency().has_sorted_indices
+            assert np.array_equal(g.degrees, A.sum(axis=1))
 
 
 def test_coords_round_trip(tmp_path):

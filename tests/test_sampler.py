@@ -68,7 +68,7 @@ def test_color_classes_partition_without_adjacent_pairs():
     classes = color_classes(g)
     all_idx = np.sort(np.concatenate(classes))
     assert np.array_equal(all_idx, np.arange(g.n))
-    edge_set = set(g.edges)
+    edge_set = set(map(tuple, g.edges.tolist()))
     for cls in classes:
         members = set(int(v) for v in cls)
         for i in members:

@@ -228,7 +228,8 @@ def test_fitted_surface_memory_does_not_grow_with_draws(n_draws, traced_peak):
 
 @pytest.mark.parametrize("model", ["traditional", "rhz", "sparse"])
 def test_fitted_surface_blocks_match_one_shot(model):
-    # 437 sites in several blocks of sites and a partial one, with an offset
+    # 437 sites in several blocks of sites and a partial one, with an
+    # offset; 2500 draws span two full tiles of draws and a partial one
     g = build_lattice(19, 23)
     X = lattice_design(g)
     if model == "traditional":
@@ -242,13 +243,17 @@ def test_fitted_surface_blocks_match_one_shot(model):
     rng = np.random.default_rng(6)
     offset = rng.uniform(0.5, 20.0, g.n)
     spec = ModelSpec("poisson", model, q=30 if model == "sparse" else None, offset=offset)
-    beta = 0.3 * rng.standard_normal((210, 2))
-    effects = 0.3 * rng.standard_normal((210, loading.shape[1]))
-    chain = make_chain({"beta": beta, "effects": effects}, [], spec)
-    eta = X.X @ beta.T + loading @ effects.T + np.log(offset)[:, None]
-    expected = np.exp(eta).mean(axis=1)
-    # a BLAS product over a block of rows may round differently in the last bit
-    np.testing.assert_allclose(fitted_surface(chain, spec, X, basis), expected, rtol=1e-13)
+    for n_draws in (210, 2500):
+        beta = 0.3 * rng.standard_normal((n_draws, 2))
+        effects = 0.3 * rng.standard_normal((n_draws, loading.shape[1]))
+        chain = make_chain({"beta": beta, "effects": effects}, [], spec)
+        eta = X.X @ beta.T + loading @ effects.T + np.log(offset)[:, None]
+        expected = np.exp(eta).mean(axis=1)
+        # a BLAS product over a tile may round differently in the last bit,
+        # and the tiles' sums add in another order
+        np.testing.assert_allclose(
+            fitted_surface(chain, spec, X, basis), expected, rtol=1e-13
+        )
 
 
 def test_fitted_surface_single_draw_and_zero_norm():
