@@ -24,7 +24,7 @@ import json
 import sys
 import time
 from contextlib import ExitStack
-from dataclasses import fields
+from dataclasses import asdict, fields
 
 import numpy as np
 
@@ -61,39 +61,14 @@ CONFIG_KEYS = ("family", "parameterization", "q") + tuple(
 )
 
 
-def _parse_bool(value: str) -> bool:
-    low = value.lower()
-    if low in ("1", "true", "yes", "on"):
-        return True
-    if low in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"expected a boolean, got {value!r}")
-
-
-def _parse_steps(value: str) -> dict:
-    """'beta:1.5,site:2' -> {'beta': 1.5, 'site': 2.0}; McmcConfig checks the blocks."""
-    out = {}
-    for part in value.split(","):
-        name, _, num = part.partition(":")
-        out[name.strip()] = float(num)
-    return out
-
-
 def _from_settings(cls, settings: dict):
-    """cls from the settings that name its fields, each converted like its
-    default; the fields not named keep their defaults."""
-    values = {}
-    for f in fields(cls):
-        value = settings.get(f.name)
-        if value is None:
-            continue
-        if isinstance(f.default, bool):
-            value = _parse_bool(value) if isinstance(value, str) else bool(value)
-        elif f.default is None:  # initial_step_sizes
-            value = _parse_steps(value) if isinstance(value, str) else value
-        else:
-            value = type(f.default)(value)
-        values[f.name] = value
+    """cls from the settings that name its fields, each converted to the type
+    of its default; the fields not named keep their defaults."""
+    values = {
+        f.name: type(f.default)(settings[f.name])
+        for f in fields(cls)
+        if settings.get(f.name) is not None
+    }
     return cls(**values)
 
 
@@ -295,7 +270,7 @@ def _build_basis(model, X, g, q):
 
 def _chain_summary_doc(chain: Chain, level: float) -> dict:
     return {
-        **summarize_chain(chain, level=level).as_dict(),
+        **asdict(summarize_chain(chain, level=level)),
         "acceptance_rates": chain.acceptance_rates,
         "wall_time_seconds": chain.wall_time,
         "seed": chain.seed,
@@ -402,7 +377,7 @@ def _cmd_summarize(args, argv):
     table = read_table(args.chain)
     if table.n_rows == 0:
         raise ValueError(f"{args.chain}: chain is empty")
-    params = summarize_matrix(table.matrix(), table.names, args.level).as_dict()["params"]
+    params = asdict(summarize_matrix(table.matrix(), table.names, args.level))["params"]
     _write_json(args.out, {"level": args.level, "n_draws": table.n_rows, "params": params})
     print(f"summarized {table.n_rows} draws x {len(table.names)} parameters -> {args.out}")
     return 0

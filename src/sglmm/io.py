@@ -100,7 +100,8 @@ def write_table(path, names, columns) -> None:
 
 
 def read_table(path) -> Table:
-    """Parse a numeric CSV; header is required, NaN and ragged rows rejected.
+    """Parse a numeric CSV; a header of distinct names is required, NaN and
+    ragged rows are rejected.
 
     The values grow, row after row, in one flat buffer of 8-byte doubles
     that becomes the table's (rows, columns) array without a copy.
@@ -114,6 +115,9 @@ def read_table(path) -> Table:
         names = [h.strip() for h in header]
         if any(not name for name in names):
             raise ValueError(f"{path}:1: empty column name in header")
+        if len(set(names)) < len(names):
+            repeated = next(nm for j, nm in enumerate(names) if nm in names[:j])
+            raise ValueError(f"{path}:1: column name {repeated!r} repeated in header")
         flat = array.array("d")
         for lineno, row in enumerate(reader, start=2):
             if not row or (len(row) == 1 and not row[0].strip()):

@@ -35,7 +35,6 @@ __all__ = [
     "FAMILY",
     "FAMILIES",
     "PARAMETERIZATIONS",
-    "CANONICAL_LINKS",
     "Family",
     "EffectBasis",
     "PriorSet",
@@ -136,7 +135,8 @@ def _gaussian_draw(rng, mu, sigma2):
 
 @dataclass(frozen=True)
 class Family:
-    """A first-stage family with its canonical link.
+    """A first-stage family. Its link is always the canonical one (logit,
+    log, identity), so nothing names or chooses it.
 
     ``check(Z)`` raises ValueError naming the first invalid response, and
     ``mean(eta)`` is the inverse link. ``loglik(Z, eta, sigma2)`` is the log
@@ -150,7 +150,6 @@ class Family:
     """
 
     name: str
-    link: str
     check: Callable
     mean: Callable
     weight: Callable
@@ -167,7 +166,6 @@ FAMILY = {
     for fam in (
         Family(
             name="bernoulli",
-            link="logit",
             check=_check_binary,
             mean=_expit,
             weight=lambda mu: mu * (1.0 - mu),
@@ -178,7 +176,6 @@ FAMILY = {
         ),
         Family(
             name="poisson",
-            link="log",
             check=_check_counts,
             mean=np.exp,
             weight=lambda mu: mu,
@@ -190,7 +187,6 @@ FAMILY = {
         ),
         Family(
             name="gaussian",
-            link="identity",
             check=_check_finite,
             mean=lambda eta: np.asarray(eta, dtype=float),
             weight=np.ones_like,
@@ -203,7 +199,6 @@ FAMILY = {
     )
 }
 FAMILIES = tuple(FAMILY)
-CANONICAL_LINKS = {name: fam.link for name, fam in FAMILY.items()}
 
 # parameterization -> (type of its basis object, that type with its article)
 _BASES = {
@@ -234,12 +229,14 @@ class PriorSet:
 
 @dataclass(frozen=True)
 class ModelSpec:
+    """Family (canonical link implied), parameterization, q (sparse only),
+    priors, and an exposure offset (Poisson only)."""
+
     family: str
     parameterization: str
     q: int | None = None
     priors: PriorSet = field(default_factory=PriorSet)
     offset: np.ndarray | None = None
-    link: str = ""
 
     def __post_init__(self):
         if self.family not in FAMILIES:
@@ -250,14 +247,6 @@ class ModelSpec:
             raise ValueError(
                 f"unknown parameterization {self.parameterization!r}; "
                 f"allowed: {', '.join(PARAMETERIZATIONS)}"
-            )
-        canonical = CANONICAL_LINKS[self.family]
-        if self.link == "":
-            object.__setattr__(self, "link", canonical)
-        elif self.link != canonical:
-            raise ValueError(
-                f"link {self.link!r} is not the canonical link "
-                f"({canonical!r}) of family {self.family!r}"
             )
         if self.parameterization == "sparse":
             if self.q is None or self.q < 1:

@@ -36,7 +36,8 @@ magnitude after burn-in.
 
 The scalar steps s adapt by Robbins-Monro scaling toward acceptance 0.234
 (multivariate blocks) or 0.44 (univariate sweeps) during burn-in, then
-freeze, so post-burn-in kernels satisfy detailed balance.
+freeze, so post-burn-in kernels satisfy detailed balance. These targets and
+the initial steps are fixed: ``_BLOCKS`` holds both, one row per block.
 
 Randomness comes from a PCG64 generator seeded through
 ``numpy.random.SeedSequence``; multiple chains split the stream by spawning
@@ -90,32 +91,23 @@ __all__ = [
 
 _STEP_FLOOR = 1e-8
 _STEP_CAP = 1e8
-# the adapted blocks and their default initial steps
-_DEFAULT_STEPS = {"beta": 1.0, "effects": 0.3, "site": 2.4}
+# the adapted blocks: initial step and target acceptance of each. The 'beta'
+# step multiplies the Cholesky factor of the IRLS covariance; the 'effects'
+# and 'site' steps multiply the conditional scale (c + tau lam)^{-1/2}, so
+# they are in conditional standard deviations, and 0.3 and 2.4 follow the
+# 2.38/sqrt(dim) random-walk rule for a 50-dimensional block and one site.
+# Multivariate blocks target 0.234, univariate sweeps 0.44.
+_BLOCKS = {"beta": (1.0, 0.234), "effects": (0.3, 0.234), "site": (2.4, 0.44)}
 
 
 @dataclass(frozen=True)
 class McmcConfig:
-    """Chain length, seed, and adaptation settings.
-
-    ``initial_step_sizes`` maps block names ('beta', 'effects', 'site') to
-    nonnegative starting proposal scales; missing blocks get defaults, and
-    both acceptance targets must lie in (0, 1). The 'beta' step
-    multiplies the Cholesky factor of the IRLS covariance. The 'effects'
-    and 'site' steps multiply the conditional scale (c + tau lam)^{-1/2}
-    (see the module docstring), so they are in units of conditional
-    standard deviations: the defaults 0.3 and 2.4 follow the 2.38/sqrt(dim)
-    random-walk rule for a 50-dimensional block and a single site.
-    """
+    """Chain length, thinning and seed; ``_BLOCKS`` fixes the adaptation."""
 
     iterations: int = 100_000
     burn_in: int = 10_000
     thin: int = 10
     seed: int = 0
-    adapt: bool = True
-    target_accept_multivariate: float = 0.234
-    target_accept_univariate: float = 0.44
-    initial_step_sizes: dict | None = None
 
     def __post_init__(self):
         if self.burn_in < 0:
@@ -124,22 +116,6 @@ class McmcConfig:
             raise ValueError("burn_in must be smaller than iterations")
         if self.thin < 1:
             raise ValueError("thin must be >= 1")
-        for name in ("target_accept_multivariate", "target_accept_univariate"):
-            if not 0.0 < getattr(self, name) < 1.0:
-                raise ValueError(f"{name} must be in (0, 1), got {getattr(self, name)}")
-        for block, step in (self.initial_step_sizes or {}).items():
-            if block not in _DEFAULT_STEPS:
-                raise ValueError(
-                    f"initial_step_sizes: unknown block {block!r}; "
-                    f"allowed: {', '.join(_DEFAULT_STEPS)}"
-                )
-            # 0 is floored to _STEP_FLOOR by step_size
-            if not step >= 0.0:
-                raise ValueError(f"initial_step_sizes: {block} step must be >= 0, got {step}")
-
-    def step_size(self, block: str) -> float:
-        sizes = self.initial_step_sizes or {}
-        return max(float(sizes.get(block, _DEFAULT_STEPS[block])), _STEP_FLOOR)
 
 
 @dataclass
@@ -569,10 +545,8 @@ def fit(
     pr = spec.priors
     beta_var = pr.beta_variance
 
-    steps = {name: cfg.step_size(name) for name in _DEFAULT_STEPS}
+    steps = {name: step for name, (step, _) in _BLOCKS.items()}
     log_steps = {name: float(np.log(s)) for name, s in steps.items()}
-    target_mv = cfg.target_accept_multivariate
-    target_uv = cfg.target_accept_univariate
 
     names = tuple(
         [f"beta.{nm}" for nm in X.names]
@@ -586,15 +560,15 @@ def fit(
     accepted = {"beta": 0.0, "effects": 0.0}
     proposed = {"beta": 0, "effects": 0}
 
-    def tally(block, rate, alpha, gain, target):
+    def tally(block, rate, alpha, gain):
         # after burn-in, add the proposal and its gain (the acceptance flag or
         # a sweep's mean acceptance probability) to ``rate``'s tally; while
-        # adapting, move ``block``'s log step by gamma (alpha - target)
+        # adapting, move ``block``'s log step by gamma (alpha - its target)
         if t > cfg.burn_in:
             accepted[rate] += gain
             proposed[rate] += 1
         if adapting:
-            log_steps[block] += gamma * (alpha - target)
+            log_steps[block] += gamma * (alpha - _BLOCKS[block][1])
             steps[block] = _step_from_log(log_steps[block])
 
     # log target ratios of the two random-walk blocks; each also returns
@@ -615,7 +589,7 @@ def fit(
 
     kept = 0
     for t in range(1, cfg.iterations + 1):
-        adapting = cfg.adapt and t <= cfg.burn_in
+        adapting = t <= cfg.burn_in
         gamma = t**-0.6 if adapting else 0.0
 
         if gaussian:
@@ -637,7 +611,7 @@ def fit(
             )
             if ok:
                 eta, ll = new
-            tally("beta", "beta", alpha, ok, target_mv)
+            tally("beta", "beta", alpha, ok)
 
             if sweep:
                 mean_alpha = update_w_univariate(
@@ -652,7 +626,7 @@ def fit(
                     site_loglik=site_ll,
                     scale=conditional_scale(c, state.tau, lam),
                 )
-                tally("site", "effects", mean_alpha, mean_alpha, target_uv)
+                tally("site", "effects", mean_alpha, mean_alpha)
                 quad = float(state.effects @ (Q_B @ state.effects))
                 ll = loglik(eta)
             elif k:
@@ -665,7 +639,7 @@ def fit(
                 )
                 if ok:
                     eta, ll, quad = new
-                tally("effects", "effects", alpha, ok, target_mv)
+                tally("effects", "effects", alpha, ok)
 
             # tau block
             if spatial and fixed_tau is None:

@@ -46,27 +46,11 @@ class ParamSummary:
     hpd_hi: float
     mcse: float
 
-    def as_dict(self) -> dict:
-        return {
-            "mean": self.mean,
-            "eqt_lo": self.eqt_lo,
-            "eqt_hi": self.eqt_hi,
-            "hpd_lo": self.hpd_lo,
-            "hpd_hi": self.hpd_hi,
-            "mcse": self.mcse,
-        }
-
 
 @dataclass(frozen=True)
 class FitSummary:
     level: float
     params: dict  # name -> ParamSummary
-
-    def as_dict(self) -> dict:
-        return {
-            "level": self.level,
-            "params": {k: v.as_dict() for k, v in self.params.items()},
-        }
 
 
 def check_level(level: float) -> None:

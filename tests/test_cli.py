@@ -1,6 +1,7 @@
 import json
 import os
 import tempfile
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -86,6 +87,14 @@ def test_nan_rejected(tmp_path):
         read_table(path)
 
 
+def test_repeated_column_name_rejected(tmp_path):
+    # the second 'x' could not be reached, and t["x"] silently gave the first
+    path = tmp_path / "t.csv"
+    path.write_text("z,x,x\n1,2,3\n")
+    with pytest.raises(ValueError, match=r"t\.csv:1: .*'x' repeated"):
+        read_table(path)
+
+
 def test_read_table_holds_values_in_8_byte_columns(tmp_path, traced_peak):
     # columns grow as 8-byte doubles, not as lists of Python floats
     values = np.random.default_rng(2).standard_normal((400, 903))
@@ -128,6 +137,38 @@ def test_config_naming_only_the_model_takes_dataclass_defaults(tmp_path):
     assert (spec.family, spec.parameterization, spec.q) == ("poisson", "sparse", 6)
     assert spec.priors == PriorSet()
     assert _mcmc_from_settings(settings) == McmcConfig(seed=7)
+
+
+def test_config_setting_every_key_round_trips(tmp_path):
+    # every key at a value other than its default reaches the spec, the
+    # priors and the MCMC settings
+    values = {
+        "family": "poisson",
+        "parameterization": "sparse",
+        "q": 6,
+        "beta_variance": 7.5,
+        "tau_shape": 1.5,
+        "tau_scale": 30.0,
+        "sigma2_shape": 0.25,
+        "sigma2_rate": 0.125,
+        "iterations": 1234,
+        "burn_in": 56,
+        "thin": 7,
+        "seed": 89,
+    }
+    assert set(values) == set(CONFIG_KEYS)
+    path = tmp_path / "cfg"
+    path.write_text("".join(f"{k}={v}\n" for k, v in values.items()))
+    settings = read_config(path, CONFIG_KEYS)
+    spec = _spec_from_settings(settings)
+    assert (spec.family, spec.parameterization, spec.q) == ("poisson", "sparse", 6)
+    assert spec.priors == PriorSet(
+        beta_variance=7.5, tau_shape=1.5, tau_scale=30.0, sigma2_shape=0.25, sigma2_rate=0.125
+    )
+    cfg = _mcmc_from_settings(settings)
+    assert cfg == McmcConfig(iterations=1234, burn_in=56, thin=7, seed=89)
+    for obj in (spec.priors, cfg):
+        assert all(getattr(obj, f.name) != f.default for f in fields(obj))
 
 
 # ---------------------------------------------------------------------------
@@ -496,6 +537,7 @@ def test_fit_config_bad_family_lists_allowed(sim_dir, tmp_path, capsys):
         "target_accept_univariate=-0.5",
         "initial_step_sizes=beta:1,sites:2",
         "initial_step_sizes=effects:-0.3",
+        "adapt=false",
     ],
 )
 def test_fit_config_out_of_range_mcmc_setting_exits_1(sim_dir, tmp_path, capsys, line):

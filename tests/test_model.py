@@ -32,17 +32,6 @@ def test_spec_rejects_unknown_family():
         ModelSpec(family="binomial", parameterization="sparse", q=3)
 
 
-def test_spec_rejects_noncanonical_link():
-    with pytest.raises(ValueError, match="canonical"):
-        ModelSpec(family="bernoulli", parameterization="nonspatial", link="probit")
-
-
-def test_spec_sets_canonical_link():
-    assert ModelSpec("bernoulli", "nonspatial").link == "logit"
-    assert ModelSpec("poisson", "nonspatial").link == "log"
-    assert ModelSpec("gaussian", "nonspatial").link == "identity"
-
-
 def test_spec_requires_q_for_sparse_only():
     with pytest.raises(ValueError, match="q >= 1"):
         ModelSpec(family="poisson", parameterization="sparse")
