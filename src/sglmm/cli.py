@@ -24,7 +24,7 @@ import json
 import sys
 import time
 from contextlib import ExitStack
-from dataclasses import asdict, fields
+from dataclasses import fields
 
 import numpy as np
 
@@ -134,6 +134,15 @@ def _cmd_lattice(args, argv):
     return 0
 
 
+def _covariate_names(arg) -> list:
+    """The names in a ``--covariates`` list; ValueError naming a repeated one."""
+    names = [c.strip() for c in arg.split(",")]
+    repeated = next((nm for j, nm in enumerate(names) if nm in names[:j]), None)
+    if repeated is not None:
+        raise ValueError(f"--covariates: column name {repeated!r} repeated")
+    return names
+
+
 def _design_from_table(table, names=None) -> DesignMatrix:
     cols = names if names else table.names
     return DesignMatrix(table.matrix(cols), names=tuple(cols))
@@ -142,7 +151,7 @@ def _design_from_table(table, names=None) -> DesignMatrix:
 def _cmd_eigs(args, argv):
     g = read_edge_list(args.graph)
     table = read_table(args.design)
-    names = args.covariates.split(",") if args.covariates else None
+    names = _covariate_names(args.covariates) if args.covariates else None
     X = _design_from_table(table, names)
     if X.n != g.n:
         raise ValueError(f"design has {X.n} rows but graph has {g.n} vertices")
@@ -248,7 +257,7 @@ def _load_fit_inputs(args):
     Z = table[response]
     offset = table[args.offset_col] if args.offset_col else None
     if args.covariates:
-        cov_names = [c.strip() for c in args.covariates.split(",")]
+        cov_names = _covariate_names(args.covariates)
     else:
         drop = {response, args.offset_col}
         cov_names = [nm for nm in table.names if nm not in drop]
@@ -268,9 +277,14 @@ def _build_basis(model, X, g, q):
     return moran_basis(X, g, q=q)
 
 
+def _summary_doc(summary) -> dict:
+    """``dataclasses.asdict(summary)`` without its deep copy of every float."""
+    return {"level": summary.level, "params": {nm: vars(s) for nm, s in summary.params.items()}}
+
+
 def _chain_summary_doc(chain: Chain, level: float) -> dict:
     return {
-        **asdict(summarize_chain(chain, level=level)),
+        **_summary_doc(summarize_chain(chain, level=level)),
         "acceptance_rates": chain.acceptance_rates,
         "wall_time_seconds": chain.wall_time,
         "seed": chain.seed,
@@ -377,7 +391,7 @@ def _cmd_summarize(args, argv):
     table = read_table(args.chain)
     if table.n_rows == 0:
         raise ValueError(f"{args.chain}: chain is empty")
-    params = asdict(summarize_matrix(table.matrix(), table.names, args.level))["params"]
+    params = _summary_doc(summarize_matrix(table.matrix(), table.names, args.level))["params"]
     _write_json(args.out, {"level": args.level, "n_draws": table.n_rows, "params": params})
     print(f"summarized {table.n_rows} draws x {len(table.names)} parameters -> {args.out}")
     return 0
@@ -609,7 +623,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def dispatch(argv) -> int:
-    """Parse and run; 0 on success, 1 on validation error, 2 on numerical failure."""
+    """Parse and run; 0 on success, 1 on validation error, 2 on numerical failure
+    or when memory runs out."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -620,6 +635,9 @@ def dispatch(argv) -> int:
     # LinAlgError subclasses ValueError, so the numerical branch goes first
     except (np.linalg.LinAlgError, RuntimeError, FloatingPointError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"numerical failure: memory ran out ({exc})", file=sys.stderr)
         return 2
     except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -47,8 +47,13 @@ The univariate site sweep visits every vertex once per iteration, grouped
 into mutually non-adjacent color classes so each class updates as one
 vectorized step. Sites in a class share no edge and the likelihood is
 conditionally independent across sites given eta, so the grouped sweep
-draws from exactly the same kernel as a site-by-site loop. Prior work per
-sweep is proportional to the edge count.
+draws from exactly the same kernel as a site-by-site loop. The sweep draws
+all its proposals first and evaluates every proposed likelihood term in one
+call, against a cache of the current terms: a site's eta moves only with
+its own effect, so this is exact. A class then needs only its neighbor
+sums. The driver carries W'QW and the log-likelihood forward by the changes
+the sweep returns, and recomputes both at every retained draw so rounding
+cannot accumulate. Work per sweep is proportional to the edge count.
 """
 
 from __future__ import annotations
@@ -247,46 +252,50 @@ def rw_metropolis(rng, x, log_ratio, step, scale=None):
     return (prop, kept, alpha, True) if accepted else (x, None, alpha, False)
 
 
-def car_local_log_ratio(tau, degrees, neighbor_sums, w_old, w_new):
-    """CAR prior log ratio for changing single sites from w_old to w_new.
-
-    Equals -tau/2 * [d_i (w'^2 - w^2) - 2 (w' - w) S_i] with S_i the sum of
-    neighboring effects; matches the full quadratic-form difference because
-    only site i changes. A degree-0 site has a flat conditional.
-    """
-    return -0.5 * tau * (
-        degrees * (w_new**2 - w_old**2) - 2.0 * (w_new - w_old) * neighbor_sums
-    )
-
-
 def update_w_univariate(
-    rng, W, eta, step, *, tau, adjacency, degrees, classes, site_loglik, scale=None
+    rng, W, eta, step, *, tau, adjacency, degrees, classes, site_loglik, scale=None, cache=None
 ):
     """One sweep of univariate normal random-walk updates over all sites.
 
-    Each site's Metropolis ratio uses only its own likelihood term plus the
-    CAR prior's local conditional. ``site_loglik(idx, eta_i)`` returns the
-    per-site log-likelihood contributions; W and eta are modified in place.
-    Site i proposes with standard deviation step * scale[i]; ``scale`` None
-    means 1 for every site. Returns the mean acceptance probability over
-    the sweep.
+    Site i proposes w_i + step * scale[i] z_i (``scale`` None means 1), and
+    its ratio is its own likelihood term plus the CAR prior's local
+    conditional. ``site_loglik(idx, eta_idx)`` returns the per-site terms of
+    the sites ``idx``; ``cache`` holds every site's current term, updated in
+    place (None: computed here). ``adjacency`` is the adjacency matrix, or
+    its rows for each class in turn. W and eta are modified in place.
+    Returns the mean acceptance probability and the changes in W'QW and in
+    the log-likelihood.
     """
-    alpha_sum = 0.0
     n = W.shape[0]
-    for idx in classes:
-        neighbor_sum = adjacency @ W
-        w_old = W[idx]
-        w_new = _rw_proposal(rng, w_old, step, None if scale is None else scale[idx])
-        log_alpha = car_local_log_ratio(tau, degrees[idx], neighbor_sum[idx], w_old, w_new)
-        eta_old = eta[idx]
-        eta_new = eta_old + (w_new - w_old)
-        log_alpha = log_alpha + site_loglik(idx, eta_new) - site_loglik(idx, eta_old)
-        alpha_sum += float(np.sum(np.exp(np.minimum(log_alpha, 0.0))))
-        accept = np.log(rng.random(idx.shape[0])) < log_alpha
-        sel = idx[accept]
-        W[sel] = w_new[accept]
-        eta[sel] = eta_new[accept]
-    return alpha_sum / n
+    sites = np.arange(n)
+    if cache is None:
+        cache = site_loglik(sites, eta)
+    move = step * rng.standard_normal(n)
+    if scale is not None:
+        move *= scale
+    log_u = np.log(rng.random(n))
+    w_new, eta_new = W + move, eta + move
+    ll_new = site_loglik(sites, eta_new)
+    ll_ratio = ll_new - cache
+    # site i's move changes W'QW by move_i (d_i (w_i + w'_i) - 2 S_i), with d_i
+    # its degree and S_i its neighbors' sum, so its log ratio is base + slope S
+    quad_own = move * degrees * (W + w_new)
+    base = ll_ratio - 0.5 * tau * quad_own
+    slope = tau * move
+    per_class = isinstance(adjacency, (list, tuple))
+    S = np.empty(n)
+    accepted = []
+    for c, idx in enumerate(classes):
+        S[idx] = s = adjacency[c] @ W if per_class else (adjacency @ W)[idx]
+        sel = idx[log_u[idx] < base[idx] + slope[idx] * s]
+        W[sel] = w_new[sel]
+        accepted.append(sel)
+    sel = np.concatenate(accepted)
+    eta[sel] = eta_new[sel]
+    cache[sel] = ll_new[sel]
+    d_quad = quad_own - 2.0 * move * S
+    alpha = np.exp(np.minimum(base + slope * S, 0.0))
+    return float(alpha.sum()) / n, float(d_quad[sel].sum()), float(ll_ratio[sel].sum())
 
 
 def gibbs_tau(rng, priors, k, quad):
@@ -482,11 +491,12 @@ def fit(
 
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
 
-    degrees = classes = A_csr = None
+    degrees = classes = rows = None
     if sweep:
         degrees = np.asarray(Q_B.diagonal(), dtype=float)
         A_csr = sp.csr_array(sp.diags_array(degrees) - Q_B)
         classes = _greedy_classes(A_csr)
+        rows = [A_csr[idx] for idx in classes]
 
     # initialization: IRLS estimate for MH families, zero otherwise
     if gaussian or prior_only:
@@ -533,7 +543,9 @@ def fit(
     if sweep:
         lam = degrees
         site_terms = fam.site_loglik
-        site_ll = (lambda idx, e: 0.0) if prior_only else (lambda idx, e: site_terms(Z[idx], e))
+        site_ll = lambda idx, e: np.zeros(e.shape) if prior_only else site_terms(Z[idx], e)
+        # every site's current log-likelihood term, kept in step with eta
+        site_cache = site_ll(np.arange(n), eta)
     elif k:
         spectrum = lam, V, B = _effect_spectrum(Q_B, B)
     # the Gaussian sweep's data terms, fixed for the chain
@@ -611,24 +623,27 @@ def fit(
             )
             if ok:
                 eta, ll = new
+                if sweep:
+                    site_cache = site_ll(np.arange(n), eta)
             tally("beta", "beta", alpha, ok)
 
             if sweep:
-                mean_alpha = update_w_univariate(
+                mean_alpha, d_quad, d_ll = update_w_univariate(
                     rng,
                     state.effects,
                     eta,
                     steps["site"],
                     tau=state.tau,
-                    adjacency=A_csr,
+                    adjacency=rows,
                     degrees=degrees,
                     classes=classes,
                     site_loglik=site_ll,
                     scale=conditional_scale(c, state.tau, lam),
+                    cache=site_cache,
                 )
                 tally("site", "effects", mean_alpha, mean_alpha)
-                quad = float(state.effects @ (Q_B @ state.effects))
-                ll = loglik(eta)
+                quad += d_quad
+                ll += d_ll
             elif k:
                 state.effects, new, alpha, ok = rw_metropolis(
                     rng,
@@ -656,6 +671,11 @@ def fit(
             if stream is not None:
                 stream(names, row)
             kept += 1
+            if sweep:
+                # the sweep carries quad and ll forward by differences;
+                # recomputing them here keeps rounding from accumulating
+                quad = float(state.effects @ (Q_B @ state.effects))
+                ll = loglik(eta)
 
     rates = {}
     if not gaussian:

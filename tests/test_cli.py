@@ -692,6 +692,68 @@ def test_numerical_failure_exits_2(sim_dir, monkeypatch):
     assert code == 2
 
 
+def test_memory_error_exits_2_and_says_memory_ran_out(sim_dir, tmp_path, monkeypatch, capsys):
+    import sglmm.cli as cli_mod
+
+    def boom(*args, **kwargs):
+        raise MemoryError("synthetic allocation failure")
+
+    monkeypatch.setattr(cli_mod, "moran_basis", boom)
+    code = run(
+        [
+            "fit", "--model", "sparse", "--family", "bernoulli", "--q", "4",
+            "--data", sim_dir / "toy_data.csv", "--graph", sim_dir / "toy_graph.edges",
+            "--seed", "1", "--iterations", "1000", "--burn-in", "100",
+            "--out-prefix", tmp_path / "fit",
+        ]
+    )
+    assert code == 2
+    assert "memory ran out" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["fit", "eigs"])
+def test_repeated_covariate_name_rejected(sim_dir, tmp_path, capsys, command):
+    inputs = {
+        "fit": [
+            "fit", "--model", "nonspatial", "--family", "bernoulli",
+            "--data", sim_dir / "toy_data.csv", "--out-prefix", tmp_path / "fit",
+        ],
+        "eigs": [
+            "eigs", "--design", sim_dir / "toy_data.csv",
+            "--spectrum-out", tmp_path / "spectrum.csv",
+        ],
+    }[command]
+    code = run(inputs + ["--graph", sim_dir / "toy_graph.edges", "--covariates", "x, y,x"])
+    assert code == 1
+    assert "column name 'x' repeated" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_summary_json_matches_asdict_bytes(sim_dir):
+    # the summary document is built without dataclasses.asdict; its bytes
+    # must still be those asdict gives, for a chain with effect columns
+    from dataclasses import asdict
+
+    import sglmm.cli as cli_mod
+    from sglmm.graph import laplacian, read_edge_list
+    from sglmm.model import Dataset, ModelSpec
+    from sglmm.sampler import fit
+    from sglmm.summary import summarize_chain
+
+    table = read_table(sim_dir / "toy_data.csv")
+    g = read_edge_list(sim_dir / "toy_graph.edges")
+    X = cli_mod._design_from_table(table, ["x", "y"])
+    cfg = McmcConfig(iterations=600, burn_in=100, thin=5, seed=4)
+    chain = fit(ModelSpec("bernoulli", "traditional"), Dataset(X=X, Z=table["z"]),
+                laplacian(g), cfg)
+    assert any(nm.startswith("effect.") for nm in chain.names)
+    doc = cli_mod._chain_summary_doc(chain, 0.9)
+    expected = {**asdict(summarize_chain(chain, level=0.9)),
+                **{k: v for k, v in doc.items() if k not in ("level", "params")}}
+    assert list(doc) == list(expected)
+    assert json.dumps(doc, indent=2, default=str) == json.dumps(expected, indent=2, default=str)
+
+
 def _islands_6x6(tmp_path):
     # a graph with three components, written with a zero response: a
     # prior-only Gaussian rhz fit on it has a singular reduced precision

@@ -11,14 +11,13 @@ from hypothesis import example, given, settings
 from sglmm.basis import DesignMatrix, moran_basis, rhz_basis
 from sglmm.glm import irls_fit
 from sglmm.graph import build_lattice, graph_from_edges, laplacian
-from sglmm.model import Dataset, ModelSpec, ParameterState, PriorSet
+from sglmm.model import FAMILY, Dataset, ModelSpec, ParameterState, PriorSet
 import sglmm.sampler as sampler
 from sglmm.sampler import (
     McmcConfig,
     _effect_spectrum,
     _gaussian_cache,
     _greedy_classes,
-    car_local_log_ratio,
     color_classes,
     conditional_scale,
     fit,
@@ -191,26 +190,24 @@ def test_fit_draws_random_walk_blocks_through_rw_metropolis(monkeypatch, family,
 @given(case=_irregular_graphs())
 @example(case=(graph_from_edges(6, [(0, 1), (1, 2), (2, 3), (0, 4)]), None, None))
 def test_update_w_univariate_matches_full_quadratic_form(case):
-    # local CAR ratio must equal the full joint prior ratio when one site
-    # changes; isolated vertices (vertex 5 of the 6-vertex example) have a
-    # flat conditional
+    # the sweep's change in W'QW must equal the full quadratic-form
+    # difference; isolated vertices (vertex 5 of the 6-vertex example) have
+    # a flat conditional, so a prior-only sweep accepts every move there
     g = case[0]
     Qd = laplacian(g).dense()
-    tau = 1.7
     rng = np.random.default_rng(4)
     W = rng.standard_normal(g.n)
-    A = g.adjacency().astype(float)
-    S = A @ W
-    deg = g.degrees.astype(float)
-    for i in range(g.n):
-        w_new = W[i] + 0.8
-        local = car_local_log_ratio(tau, deg[i], S[i], W[i], w_new)
-        W2 = W.copy()
-        W2[i] = w_new
-        full = -0.5 * tau * (W2 @ Qd @ W2 - W @ Qd @ W)
-        assert local == pytest.approx(full, abs=1e-10)
-    for i in np.nonzero(deg == 0)[0]:
-        assert car_local_log_ratio(tau, 0.0, 0.0, W[i], W[i] + 10.0) == 0.0
+    W0, eta = W.copy(), W.copy()
+    _, d_quad, d_ll = update_w_univariate(
+        rng, W, eta, 0.8, tau=1.7, adjacency=g.adjacency().astype(float),
+        degrees=g.degrees.astype(float), classes=color_classes(g),
+        site_loglik=lambda idx, e: np.zeros(e.shape),
+    )
+    assert np.any(W != W0)
+    assert d_quad == pytest.approx(W @ Qd @ W - W0 @ Qd @ W0, rel=1e-10, abs=1e-10)
+    assert d_ll == 0.0
+    isolated = g.degrees == 0
+    assert np.all(W[isolated] != W0[isolated])
 
 
 def test_conditional_scale_finite_where_precision_vanishes():
@@ -244,12 +241,217 @@ def test_update_w_univariate_sweep_runs_and_returns_rate():
     eta = np.zeros(25)
     Z = rng.integers(0, 2, 25).astype(float)
     site_ll = lambda idx, e: Z[idx] * e - np.logaddexp(0.0, e)
-    rate = update_w_univariate(
+    rate, _, _ = update_w_univariate(
         rng, W, eta, 0.5, tau=1.0, adjacency=A, degrees=g.degrees.astype(float),
         classes=classes, site_loglik=site_ll,
     )
     assert 0.0 < rate <= 1.0
     assert np.array_equal(eta, W)  # eta tracked the accepted moves
+
+
+@pytest.mark.parametrize("family", ["bernoulli", "poisson", "gaussian"])
+def test_update_w_univariate_called_as_the_benchmark_calls_it(family):
+    # the per-layer benchmark times one sweep with this call: index-array
+    # classes, the full adjacency, a per-index site_loglik and no cache
+    g = build_lattice(6, 7)
+    rng = np.random.default_rng(0)
+    Z = {"bernoulli": rng.integers(0, 2, g.n), "poisson": rng.poisson(3.0, g.n),
+         "gaussian": rng.standard_normal(g.n)}[family].astype(float)
+    site_ll = {
+        "bernoulli": lambda idx, eta: Z[idx] * eta - np.logaddexp(0.0, eta),
+        "poisson": lambda idx, eta: Z[idx] * eta - np.exp(eta),
+        "gaussian": lambda idx, eta: -0.5 * (Z[idx] - eta) ** 2,
+    }[family]
+    Q = laplacian(g)
+    degrees = np.asarray(Q.Q.diagonal(), dtype=float)
+    adjacency = g.adjacency().astype(float)
+    classes = color_classes(g)
+    eta0 = np.full(g.n, 0.5)
+    W = np.zeros(g.n)
+    eta = eta0.copy()
+    scale = conditional_scale(1.0, 1.0, degrees)
+    for _ in range(5):
+        update_w_univariate(
+            rng, W, eta, 1.0, tau=1.0, adjacency=adjacency, degrees=degrees,
+            classes=classes, site_loglik=site_ll, scale=scale,
+        )
+    assert np.any(W != 0.0)
+    assert np.allclose(eta, eta0 + W, rtol=0, atol=1e-12)
+
+
+class _FixedDraws:
+    """Stand-in generator returning given normals and uniforms, each once."""
+
+    def __init__(self, z, u):
+        self.z, self.u = z, u
+
+    def standard_normal(self, n):
+        assert n == self.z.shape[0]
+        z, self.z = self.z, None
+        return z
+
+    def random(self, n):
+        assert n == self.u.shape[0]
+        u, self.u = self.u, None
+        return u
+
+
+def _islands_graph():
+    # a triangle with a pendant vertex (three colors), a path, and the
+    # isolated vertex 7
+    return graph_from_edges(8, [(0, 1), (0, 2), (1, 2), (2, 3), (4, 5), (5, 6)])
+
+
+def _sweep_case(graph, likelihood, seed):
+    """(graph, eta0, site_loglik) for the sweep oracle: eta0 is the linear
+    predictor apart from the effects, with a log offset for Poisson."""
+    g = {"lattice": build_lattice(4, 5), "islands": _islands_graph()}[graph]
+    rng = np.random.default_rng(seed)
+    eta0 = 0.3 * rng.standard_normal(g.n)
+    fam = None if likelihood == "prior-only" else likelihood.split()[0]
+    if likelihood == "poisson offset":
+        eta0 = eta0 + np.log(rng.uniform(0.5, 20.0, g.n))
+    if fam is None:
+        return g, eta0, lambda idx, e: np.zeros(e.shape)
+    Z = rng.poisson(2.0, g.n).astype(float) if fam == "poisson" else rng.integers(0, 2, g.n) * 1.0
+    site_terms = FAMILY[fam].site_loglik
+    return g, eta0, lambda idx, e: site_terms(Z[idx], e)
+
+
+def _reference_sweep(z, u, W, eta, step, tau, g, classes, site_loglik, scale):
+    """Site-by-site Metropolis in class order, one site at a time."""
+    W, eta = W.copy(), eta.copy()
+    A = g.adjacency()
+    accepted = []
+    alpha = np.empty(g.n)
+    for idx in classes:
+        for i in idx.tolist():
+            move = step * z[i] * scale[i]
+            nbrs = A.indices[A.indptr[i] : A.indptr[i + 1]]
+            S = float(sum(W[j] for j in nbrs))
+            d = float(len(nbrs))
+            w_new, e_new = W[i] + move, eta[i] + move
+            log_alpha = -0.5 * tau * (d * (w_new**2 - W[i] ** 2) - 2.0 * (w_new - W[i]) * S)
+            site = np.array([i])
+            log_alpha += float(site_loglik(site, np.array([e_new]))[0])
+            log_alpha -= float(site_loglik(site, np.array([eta[i]]))[0])
+            alpha[i] = min(1.0, np.exp(log_alpha))
+            if np.log(u[i]) < log_alpha:
+                W[i], eta[i] = w_new, e_new
+                accepted.append(i)
+    return W, eta, sorted(accepted), float(alpha.mean())
+
+
+@pytest.mark.parametrize("graph", ["lattice", "islands"])
+@pytest.mark.parametrize("likelihood", ["bernoulli", "poisson offset", "prior-only"])
+def test_site_sweep_matches_site_by_site_loop(graph, likelihood):
+    # one sweep with fixed normals and uniforms must accept the sites, and
+    # leave the W and eta, of a scalar loop over the sites in class order;
+    # the full-adjacency call and the per-class rows with a cache agree
+    g, eta0, site_loglik = _sweep_case(graph, likelihood, seed=3)
+    rng = np.random.default_rng(8)
+    W0 = rng.standard_normal(g.n)
+    z, u = rng.standard_normal(g.n), rng.random(g.n)
+    tau, step = 1.3, 1.1
+    degrees = g.degrees.astype(float)
+    scale = conditional_scale(0.4, tau, degrees)
+    classes = color_classes(g)
+    if graph == "islands":
+        assert len(classes) == 3 and degrees[7] == 0
+    W_ref, eta_ref, acc_ref, alpha_ref = _reference_sweep(
+        z, u, W0, eta0 + W0, step, tau, g, classes, site_loglik, scale
+    )
+    assert 0 < len(acc_ref) < g.n
+    A = g.adjacency().astype(float)
+    for adjacency, cache in ((A, None), ([A[idx] for idx in classes], "cache")):
+        W, eta = W0.copy(), eta0 + W0
+        if cache is not None:
+            cache = site_loglik(np.arange(g.n), eta)
+        rate, _, _ = update_w_univariate(
+            _FixedDraws(z, u), W, eta, step, tau=tau, adjacency=adjacency,
+            degrees=degrees, classes=classes, site_loglik=site_loglik, scale=scale,
+            cache=cache,
+        )
+        assert np.nonzero(W != W0)[0].tolist() == acc_ref
+        assert np.array_equal(W, W_ref)
+        assert np.array_equal(eta, eta_ref)
+        assert rate == pytest.approx(alpha_ref, rel=1e-12)
+        if cache is not None:
+            assert np.allclose(cache, site_loglik(np.arange(g.n), eta), rtol=1e-13, atol=1e-13)
+
+
+@pytest.mark.parametrize("graph", ["lattice", "islands"])
+@pytest.mark.parametrize("likelihood", ["bernoulli", "poisson offset"])
+def test_site_sweep_carried_sums_match_recomputed(graph, likelihood):
+    # the changes the sweep returns, added up over 200 sweeps from a random
+    # state, must equal W'QW and the log-likelihood recomputed at the end
+    g, eta0, site_loglik = _sweep_case(graph, likelihood, seed=5)
+    Q = laplacian(g).dense()
+    rng = np.random.default_rng(9)
+    W = rng.standard_normal(g.n)
+    eta = eta0 + W
+    degrees = g.degrees.astype(float)
+    classes = color_classes(g)
+    A = g.adjacency().astype(float)
+    rows = [A[idx] for idx in classes]
+    sites = np.arange(g.n)
+    cache = site_loglik(sites, eta)
+    quad, ll = float(W @ Q @ W), float(cache.sum())
+    tau = 0.8
+    for _ in range(200):
+        _, d_quad, d_ll = update_w_univariate(
+            rng, W, eta, 0.7, tau=tau, adjacency=rows, degrees=degrees, classes=classes,
+            site_loglik=site_loglik, scale=conditional_scale(0.3, tau, degrees), cache=cache,
+        )
+        quad += d_quad
+        ll += d_ll
+    assert np.allclose(eta, eta0 + W, rtol=0, atol=1e-12)
+    assert quad == pytest.approx(float(W @ Q @ W), rel=1e-9)
+    assert ll == pytest.approx(float(site_loglik(sites, eta).sum()), rel=1e-9)
+
+
+@pytest.mark.parametrize("family", ["bernoulli", "poisson"])
+def test_traditional_fit_keeps_carried_state_in_step(monkeypatch, family):
+    # fit carries the site terms, W'QW and the log-likelihood from sweep to
+    # sweep. Checked where the chain uses them: the cache at every sweep,
+    # tau's quadratic form, and beta's log ratio of the current beta to
+    # itself, which is loglik(eta) minus the carried value
+    g = build_lattice(6, 6)
+    X = DesignMatrix(np.column_stack([np.ones(g.n), np.linspace(-1, 1, g.n)]))
+    rng = np.random.default_rng(12)
+    offset = rng.uniform(0.5, 3.0, g.n) if family == "poisson" else None
+    Z = (rng.poisson(1.5, g.n) if family == "poisson" else rng.integers(0, 2, g.n)) * 1.0
+    Q = laplacian(g)
+    Qd = Q.dense()
+    fam = FAMILY[family]
+    seen = {"sweeps": 0, "tau": 0, "beta": 0}
+    current = {}
+
+    def sweep(rng, W, eta, step, **kw):
+        assert np.allclose(kw["cache"], fam.site_loglik(Z, eta), rtol=1e-12, atol=1e-12)
+        current["W"] = W
+        seen["sweeps"] += 1
+        return update_w_univariate(rng, W, eta, step, **kw)
+
+    def tau_draw(rng, priors, k, quad):
+        W = current["W"]
+        assert quad == pytest.approx(float(W @ Qd @ W), rel=1e-9, abs=1e-12)
+        seen["tau"] += 1
+        return gibbs_tau(rng, priors, k, quad)
+
+    def beta_step(rng, x, log_ratio, step, scale=None):
+        assert abs(log_ratio(x)[0]) < 1e-9 * (1.0 + abs(fam.loglik(Z, X.X @ x)))
+        seen["beta"] += 1
+        return rw_metropolis(rng, x, log_ratio, step, scale)
+
+    monkeypatch.setattr(sampler, "update_w_univariate", sweep)
+    monkeypatch.setattr(sampler, "gibbs_tau", tau_draw)
+    monkeypatch.setattr(sampler, "rw_metropolis", beta_step)
+    cfg = McmcConfig(iterations=400, burn_in=100, thin=100, seed=41)
+    spec = ModelSpec(family, "traditional", offset=offset)
+    chain = fit(spec, Dataset(X=X, Z=Z), Q, cfg)
+    assert seen == {"sweeps": 400, "tau": 400, "beta": 400}
+    assert 0.05 < chain.acceptance_rates["beta"] < 0.95
 
 
 def test_gibbs_tau_conjugate_parameters():
