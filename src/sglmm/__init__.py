@@ -60,7 +60,6 @@ from .summary import (
     hpd_interval,
     mcse,
     summarize_chain,
-    summarize_draws,
     summarize_matrix,
 )
 
@@ -105,7 +104,6 @@ __all__ = [
     "simulate_response",
     "FitSummary",
     "summarize_chain",
-    "summarize_draws",
     "summarize_matrix",
     "equal_tailed_interval",
     "hpd_interval",

@@ -4,8 +4,7 @@ The central object is the Moran operator for a design matrix X with respect
 to a graph G: project the adjacency matrix onto the orthogonal complement of
 span(X). Its leading eigenvectors are the mutually distinct patterns of
 spatial clustering residual to X, and its standardized eigenvalues are the
-attainable values of the generalized Moran's I. A Geary-style variant uses
-the graph Laplacian in place of the adjacency matrix.
+attainable values of the generalized Moran's I.
 
 Two reduced bases are provided:
 
@@ -185,43 +184,29 @@ def _fix_signs(V: np.ndarray) -> np.ndarray:
     return V
 
 
-def _moran_triangle(X, g: Graph, source: str = "adjacency") -> np.ndarray:
-    """P S P (S = A, or Q for the Laplacian) in the one n x n buffer of S.
+def _moran_triangle(X, g: Graph) -> np.ndarray:
+    """P A P in the one n x n buffer of the dense adjacency A.
 
-    Returns the F-ordered view whose upper triangle holds P S P; the lower
-    one is stale. P S P = S - (U W' + W U') with W = S U - U (U'S U) / 2, U
+    Returns the F-ordered view whose upper triangle holds P A P; the lower
+    one is stale. P A P = A - (U W' + W U') with W = A U - U (U'A U) / 2, U
     an orthonormal basis of span(X): one in-place rank-2p update.
     """
-    if source == "adjacency":
-        S = g.dense_adjacency()
-    elif source == "laplacian":
-        S = laplacian(g).dense()
-    else:
-        raise ValueError(f"source must be 'adjacency' or 'laplacian', got {source!r}")
+    A = g.dense_adjacency()
     U = _orthonormal_range(_as_array(X))
-    T = S.T  # S is symmetric, so its F-ordered view is S itself
-    SU = T @ U
-    W = SU - 0.5 * (U @ (U.T @ SU))
+    T = A.T  # A is symmetric, so its F-ordered view is A itself
+    AU = T @ U
+    W = AU - 0.5 * (U @ (U.T @ AU))
     return scipy.linalg.blas.dsyr2k(-1.0, U, W, beta=1.0, c=T, overwrite_c=1)
 
 
-def moran_operator(X, g: Graph, source: str = "adjacency") -> np.ndarray:
-    """Moran operator P-perp A P-perp, or the Laplacian variant P-perp Q P-perp.
+def moran_operator(X, g: Graph) -> np.ndarray:
+    """Moran operator P-perp A P-perp of the design X on the graph g.
 
-    Parameters
-    ----------
-    X : DesignMatrix or array
-        Covariates whose span is projected out.
-    g : Graph
-        Areal graph supplying A (or Q for ``source="laplacian"``).
-    source : {"adjacency", "laplacian"}
-        The adjacency form is Moran-like (large eigenvalues mean attraction);
-        the Laplacian form is Geary-like.
-
-    Returns a dense n x n symmetric matrix (the triangle the eigensolvers
-    read, copied into the other one); intended for moderate n.
+    Large eigenvalues mean attraction. Returns a dense n x n symmetric matrix
+    (the triangle the eigensolvers read, copied into the other one);
+    intended for moderate n.
     """
-    op = _moran_triangle(X, g, source).T  # lower triangle holds P S P
+    op = _moran_triangle(X, g).T  # lower triangle holds P A P
     return np.tril(op) + np.tril(op, -1).T
 
 

@@ -42,6 +42,7 @@ from .graph import (
 from .io import RowWriter, read_config, read_table, write_table
 from .model import (
     FAMILIES,
+    FAMILY,
     PARAMETERIZATIONS,
     Dataset,
     ModelSpec,
@@ -311,15 +312,24 @@ def _cmd_fit(args, argv):
     for key, value in overrides.items():
         if value is not None:
             settings[key] = value
+    # the chain settings of an MCMC model are checked before any input is read
+    mcmc = settings.get("parameterization") in set(PARAMETERIZATIONS) - {"nonspatial"}
+    cfg = _mcmc_from_settings(settings) if mcmc else None
 
     g, X, Z, offset = _load_fit_inputs(args)
     spec = _spec_from_settings(settings, offset=offset)
+    FAMILY[spec.family].check(Z)  # before the basis is built or a file opened
     data = Dataset(X=X, Z=Z)
     prefix = args.out_prefix
 
     basis = _build_basis(spec.parameterization, X, g, spec.q)
     if basis is None:
         glm = irls_fit(spec.family, X, Z, offset=offset)
+        if not (np.all(np.isfinite(glm.beta_hat)) and np.all(np.isfinite(glm.cov_hat))):
+            raise FloatingPointError(
+                f"IRLS estimate is not finite after {glm.iterations} iterations; "
+                f"check data scaling"
+            )
         state = ParameterState(glm.beta_hat, np.zeros(0))
         fitted = inverse_link(spec.family, linear_predictor(spec, X, None, state))
         doc = {
@@ -339,7 +349,6 @@ def _cmd_fit(args, argv):
         print(f"nonspatial {spec.family} fit -> {prefix}_summary.json")
         return 0
 
-    cfg = _mcmc_from_settings(settings)
     n_chains = args.chains
     suffixes = [""] if n_chains == 1 else [f"_{i}" for i in range(n_chains)]
     paths = [f"{prefix}_chain{suffix}.csv" for suffix in suffixes]

@@ -26,8 +26,7 @@ class GlmFit:
     """IRLS result: coefficient estimate, asymptotic covariance, diagnostics.
 
     ``cov_hat`` is the inverse Fisher information at beta_hat (scaled by the
-    dispersion estimate for the Gaussian family); ``trace`` records
-    max|delta beta| per iteration.
+    dispersion estimate for the Gaussian family).
     """
 
     beta_hat: np.ndarray
@@ -35,7 +34,6 @@ class GlmFit:
     sigma2_hat: float | None
     iterations: int
     converged: bool
-    trace: tuple[float, ...]
 
 
 def _eta(X: np.ndarray, beta: np.ndarray, log_offset: np.ndarray | None) -> np.ndarray:
@@ -45,14 +43,17 @@ def _eta(X: np.ndarray, beta: np.ndarray, log_offset: np.ndarray | None) -> np.n
     return eta
 
 
+# a diverging iterate overflows on its way to a non-finite beta, where the
+# loop stops and the fit reports it (not converged, non-finite estimates)
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")
 def irls_fit(family: str, X, Z, offset=None) -> GlmFit:
     """Maximize the GLM likelihood by Fisher scoring.
 
     Convergence is max|delta beta| < 1e-8 within 100 iterations. A
     non-converged fit (e.g., complete separation for Bernoulli data) is
-    returned with ``converged=False`` and the iteration trace rather than
-    raised; a singular weighted system is an error. ``offset`` (Poisson
-    only) holds n positive exposures.
+    returned with ``converged=False`` rather than raised; a singular
+    weighted system is an error. ``offset`` (Poisson only) holds n positive
+    exposures.
     """
     if isinstance(X, DesignMatrix):
         Xa = X.X
@@ -66,7 +67,6 @@ def irls_fit(family: str, X, Z, offset=None) -> GlmFit:
     log_off = None if offset is None else np.log(check_offset(family, offset, n))
 
     beta = np.zeros(p)
-    trace: list[float] = []
     converged = False
     iterations = 0
 
@@ -81,8 +81,7 @@ def irls_fit(family: str, X, Z, offset=None) -> GlmFit:
         if fam.has_sigma2:
             z_work = Z
         else:
-            with np.errstate(divide="ignore", invalid="ignore"):
-                z_work = (eta - (log_off if log_off is not None else 0.0)) + (Z - mu) / w
+            z_work = (eta - (log_off if log_off is not None else 0.0)) + (Z - mu) / w
             z_work = np.where(w > 0, z_work, 0.0)
         XtW = Xa.T * w
         info = XtW @ Xa
@@ -93,7 +92,6 @@ def irls_fit(family: str, X, Z, offset=None) -> GlmFit:
                 f"singular weighted system at IRLS iteration {iterations}"
             ) from exc
         step = float(np.max(np.abs(beta_new - beta)))
-        trace.append(step)
         beta = beta_new
         if not np.all(np.isfinite(beta)):
             break
@@ -120,5 +118,4 @@ def irls_fit(family: str, X, Z, offset=None) -> GlmFit:
         sigma2_hat=sigma2_hat,
         iterations=iterations,
         converged=converged,
-        trace=tuple(trace),
     )

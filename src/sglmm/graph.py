@@ -97,16 +97,8 @@ class PrecisionMatrix:
     Q: sp.csr_array
     rank: int
 
-    @property
-    def n(self) -> int:
-        return self.Q.shape[0]
-
     def dense(self) -> np.ndarray:
         return self.Q.astype(float, copy=False).toarray()
-
-    def quadratic_form(self, w: np.ndarray) -> float:
-        """w' Q w, at cost proportional to the edge count."""
-        return float(w @ (self.Q @ w))
 
 
 def build_lattice(rows: int, cols: int) -> Graph:

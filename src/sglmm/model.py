@@ -62,7 +62,7 @@ def _check_binary(Z):
 
 
 def _check_counts(Z):
-    bad = (Z < 0) | (Z != np.floor(Z))
+    bad = ~(np.isfinite(Z) & (Z >= 0) & (Z == np.floor(Z)))
     if np.any(bad):
         i = int(np.argmax(bad))
         raise ValueError(f"poisson responses must be nonnegative integers; entry {i} is {Z[i]}")
@@ -259,16 +259,16 @@ class ModelSpec:
 
 def check_offset(family: str, offset, n: int | None = None) -> np.ndarray:
     """``offset`` as a float array; ValueError unless the family takes one,
-    every entry is positive and, with n given, its shape is (n,)."""
+    every entry is finite and positive and, with n given, its shape is (n,)."""
     if not FAMILY[family].allows_offset:
         raise ValueError("offsets are supported for the poisson family only")
     off = np.asarray(offset, dtype=float)
     if n is not None and off.shape != (n,):
         raise ValueError(f"offset must have length {n}, got shape {off.shape}")
-    bad = ~(off > 0)
+    bad = ~((off > 0) & np.isfinite(off))
     if np.any(bad):
         i = int(np.argmax(bad))
-        raise ValueError(f"offset entries must be positive; entry {i} is {off.flat[i]}")
+        raise ValueError(f"offset entries must be finite and positive; entry {i} is {off.flat[i]}")
     return off
 
 

@@ -68,7 +68,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 
-from .glm import GlmFit, irls_fit
+from .glm import irls_fit
 from .graph import Graph
 from .model import (
     FAMILY,
@@ -121,6 +121,11 @@ class McmcConfig:
             raise ValueError("burn_in must be smaller than iterations")
         if self.thin < 1:
             raise ValueError("thin must be >= 1")
+        if self.iterations - self.burn_in < self.thin:
+            raise ValueError(
+                f"iterations - burn_in must be at least thin to keep a draw "
+                f"(iterations {self.iterations}, burn_in {self.burn_in}, thin {self.thin})"
+            )
 
 
 @dataclass
@@ -131,8 +136,8 @@ class Chain:
     len(names)) array, row t the t-th retained draw, column j the parameter
     ``names[j]`` (``beta.<name>``..., ``effect.<i>``..., ``tau``, ``sigma2``
     where applicable, the CSV order). ``fit`` fills it a row at a time and
-    hands each row to its stream. ``matrix()`` returns it, and ``draws`` and
-    ``column()`` are views into it; nothing is copied.
+    hands each row to its stream. ``draws`` and ``column()`` are views into
+    it; nothing is copied.
     """
 
     values: np.ndarray
@@ -140,8 +145,6 @@ class Chain:
     acceptance_rates: dict
     wall_time: float
     seed: int
-    spec: ModelSpec
-    config: McmcConfig
     step_sizes: dict = field(default_factory=dict)
 
     @property
@@ -159,10 +162,6 @@ class Chain:
             out["effects"] = self.values[:, p : p + k]
         out.update({name: self.column(name) for name in ("tau", "sigma2") if name in self.names})
         return out
-
-    def matrix(self) -> np.ndarray:
-        """``values``, the (n_draws, n_params) array in ``names`` order."""
-        return self.values
 
     def column(self, name: str) -> np.ndarray:
         return self.values[:, self.names.index(name)]
@@ -222,23 +221,12 @@ def _step_from_log(log_step):
     return min(max(math.exp(log_step), _STEP_FLOOR), _STEP_CAP)
 
 
-def _rw_proposal(rng, x, step, scale):
-    """x + step * scale z with z standard normal.
-
-    ``scale`` None means spherical, a vector scales each coordinate (such as
-    ``conditional_scale``), and a matrix (a Cholesky factor of the proposal
-    covariance) multiplies z.
-    """
-    z = rng.standard_normal(x.shape[0])
-    if scale is None:
-        return x + step * z
-    return x + step * (scale @ z if scale.ndim == 2 else scale * z)
-
-
-def rw_metropolis(rng, x, log_ratio, step, scale=None):
+def rw_metropolis(rng, x, log_ratio, step, scale):
     """One normal random-walk Metropolis step from x.
 
-    Proposes x' = x + step * scale z (``scale`` as in ``_rw_proposal``) and
+    Proposes x' = x + step * scale z with z standard normal, where a vector
+    ``scale`` scales each coordinate (such as ``conditional_scale``) and a
+    matrix (a Cholesky factor of the proposal covariance) multiplies z. Then
     calls ``log_ratio(x')``, which returns (log pi(x') - log pi(x), kept):
     the log target ratio and what the caller computed on the way to it,
     such as the proposal's eta and log-likelihood. The proposal is
@@ -246,20 +234,21 @@ def rw_metropolis(rng, x, log_ratio, step, scale=None):
     (x', kept, alpha, True) on acceptance and (x, None, alpha, False)
     otherwise, alpha being the acceptance probability.
     """
-    prop = _rw_proposal(rng, x, step, scale)
+    z = rng.standard_normal(x.shape[0])
+    prop = x + step * (scale @ z if scale.ndim == 2 else scale * z)
     log_alpha, kept = log_ratio(prop)
     alpha, accepted = _accept(rng, log_alpha)
     return (prop, kept, alpha, True) if accepted else (x, None, alpha, False)
 
 
 def update_w_univariate(
-    rng, W, eta, step, *, tau, adjacency, degrees, classes, site_loglik, scale=None, cache=None
+    rng, W, eta, step, *, tau, adjacency, degrees, classes, site_loglik, scale, cache=None
 ):
     """One sweep of univariate normal random-walk updates over all sites.
 
-    Site i proposes w_i + step * scale[i] z_i (``scale`` None means 1), and
-    its ratio is its own likelihood term plus the CAR prior's local
-    conditional. ``site_loglik(idx, eta_idx)`` returns the per-site terms of
+    Site i proposes w_i + step * scale[i] z_i, and its ratio is its own
+    likelihood term plus the CAR prior's local conditional.
+    ``site_loglik(idx, eta_idx)`` returns the per-site terms of
     the sites ``idx``; ``cache`` holds every site's current term, updated in
     place (None: computed here). ``adjacency`` is the adjacency matrix, or
     its rows for each class in turn. W and eta are modified in place.
@@ -270,9 +259,7 @@ def update_w_univariate(
     sites = np.arange(n)
     if cache is None:
         cache = site_loglik(sites, eta)
-    move = step * rng.standard_normal(n)
-    if scale is not None:
-        move *= scale
+    move = step * rng.standard_normal(n) * scale
     log_u = np.log(rng.random(n))
     w_new, eta_new = W + move, eta + move
     ll_new = site_loglik(sites, eta_new)
@@ -436,13 +423,14 @@ def gibbs_gaussian(
 # ---------------------------------------------------------------------------
 
 
-def _proposal_chol(glm_fit: GlmFit | None, p: int) -> np.ndarray:
-    if glm_fit is None or not np.all(np.isfinite(glm_fit.cov_hat)):
-        return np.eye(p)
+def _proposal_chol(cov: np.ndarray) -> np.ndarray:
+    """Cholesky factor of the IRLS covariance, or of its diagonal, or I."""
+    if not np.all(np.isfinite(cov)):
+        return np.eye(cov.shape[0])
     try:
-        return np.linalg.cholesky(glm_fit.cov_hat)
+        return np.linalg.cholesky(cov)
     except np.linalg.LinAlgError:
-        return np.diag(np.sqrt(np.clip(np.diag(glm_fit.cov_hat), 1e-12, None)))
+        return np.diag(np.sqrt(np.clip(np.diag(cov), 1e-12, None)))
 
 
 def fit(
@@ -451,7 +439,6 @@ def fit(
     basis,
     cfg: McmcConfig,
     *,
-    glm_fit: GlmFit | None = None,
     prior_only: bool = False,
     fixed_tau: float | None = None,
     fixed_sigma2: float | None = None,
@@ -503,10 +490,9 @@ def fit(
         beta = np.zeros(p)
         chol_prop = np.eye(p)
     else:
-        if glm_fit is None:
-            glm_fit = irls_fit(spec.family, X, Z, offset=spec.offset)
+        glm_fit = irls_fit(spec.family, X, Z, offset=spec.offset)
         beta = glm_fit.beta_hat.copy()
-        chol_prop = _proposal_chol(glm_fit, p)
+        chol_prop = _proposal_chol(glm_fit.cov_hat)
     state = ParameterState(
         beta=beta,
         effects=np.zeros(k),
@@ -553,7 +539,8 @@ def fit(
     if k and not gaussian and not prior_only:
         c = float(np.mean(fam.weight(fam.mean(eta))))
 
-    quad = float(state.effects @ (Q_B @ state.effects)) if k else 0.0
+    # the effects start at zero
+    quad = 0.0
     pr = spec.priors
     beta_var = pr.beta_variance
 
@@ -690,8 +677,6 @@ def fit(
         acceptance_rates=rates,
         wall_time=time.perf_counter() - t_start,
         seed=cfg.seed,
-        spec=spec,
-        config=cfg,
         step_sizes=dict(steps),
     )
 
@@ -740,6 +725,6 @@ def fit_chains(spec, data, basis, cfg, n_chains, *, streams=None, **kwargs):
         chains = pool.map(_fit_one, [(spec, data, basis, c, kwargs) for c in cfgs], chunksize=1)
     for chain, stream in zip(chains, streams):
         if stream is not None:
-            for row in chain.matrix():
+            for row in chain.values:
                 stream(chain.names, row)
     return chains

@@ -97,7 +97,6 @@ def simulate_dataset(
     tau: float | None = None,
     sigma2: float | None = None,
     family: str | None = None,
-    beta: np.ndarray | None = None,
     basis: MoranBasis | None = None,
 ) -> SimulatedData:
     """Draw a dataset from the sparse model, by preset or explicit settings.
@@ -124,9 +123,7 @@ def simulate_dataset(
         basis = moran_basis(X, g, q=q)
     elif basis.q != q:
         raise ValueError(f"supplied basis has q={basis.q}, expected {q}")
-    if beta is None:
-        beta = np.ones(X.p)
-    beta = np.asarray(beta, dtype=float)
+    beta = np.ones(X.p)
 
     rng = _rng(seed)
     delta = simulate_random_effects(basis.Q_S, tau, rng)

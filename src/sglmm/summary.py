@@ -29,7 +29,6 @@ __all__ = [
     "hpd_interval",
     "mcse",
     "summarize_chain",
-    "summarize_draws",
     "summarize_matrix",
     "fitted_surface",
     "error_norm",
@@ -170,11 +169,6 @@ def _summarize_columns(draws: np.ndarray, columns, names, level: float) -> FitSu
     return FitSummary(level=level, params=dict(zip(names, params)))
 
 
-def summarize_draws(draws: np.ndarray, level: float = 0.95) -> ParamSummary:
-    """``summarize_matrix`` of one sequence of draws."""
-    return summarize_matrix(np.reshape(draws, (-1, 1)), ["draws"], level).params["draws"]
-
-
 def summarize_chain(chain, level: float = 0.95, include_effects: bool = True) -> FitSummary:
     """Per-parameter posterior mean, equal-tailed and HPD intervals, MCSE.
 
@@ -189,7 +183,7 @@ def summarize_chain(chain, level: float = 0.95, include_effects: bool = True) ->
         for j, name in enumerate(chain.names)
         if include_effects or not name.startswith("effect.")
     ]
-    return _summarize_columns(chain.matrix(), keep, [chain.names[j] for j in keep], level)
+    return _summarize_columns(chain.values, keep, [chain.names[j] for j in keep], level)
 
 
 def fitted_surface(chain, spec: ModelSpec, X: DesignMatrix, basis) -> np.ndarray:

@@ -82,14 +82,8 @@ def test_projection_complement_idempotent_larger():
 def test_moran_operator_two_vertex_adjacency():
     # hand multiplication: P = [[.5,-.5],[-.5,.5]], A = [[0,1],[1,0]]
     # P A P = [[-.5,.5],[.5,-.5]]
-    op = moran_operator(ONES_2, TWO_VERTEX, source="adjacency")
+    op = moran_operator(ONES_2, TWO_VERTEX)
     assert np.allclose(op, [[-0.5, 0.5], [0.5, -0.5]])
-
-
-def test_moran_operator_two_vertex_laplacian():
-    # Q = 2 P and P idempotent, so P Q P = 2 P = [[1,-1],[-1,1]]
-    op = moran_operator(ONES_2, TWO_VERTEX, source="laplacian")
-    assert np.allclose(op, [[1.0, -1.0], [-1.0, 1.0]])
 
 
 def test_moran_operator_rank_bound():
@@ -99,11 +93,6 @@ def test_moran_operator_rank_bound():
     X = rng.standard_normal((4, 3))
     op = moran_operator(X, g)
     assert np.linalg.matrix_rank(op, tol=1e-10) <= 1
-
-
-def test_moran_operator_rejects_bad_source():
-    with pytest.raises(ValueError, match="source"):
-        moran_operator(ONES_2, TWO_VERTEX, source="geary")
 
 
 def test_moran_operator_symmetric():

@@ -645,6 +645,64 @@ def test_fit_rejects_level_outside_unit_interval_before_any_work(sim_dir, tmp_pa
     assert list(tmp_path.iterdir()) == []
 
 
+def test_fit_rejects_chain_that_keeps_no_draw_before_any_work(sim_dir, tmp_path, capsys):
+    # one post-burn-in iteration holds no draw at thin 5; the whole chain used
+    # to run, leave an empty chain file and then fail to summarize it
+    code = run(
+        [
+            "fit", "--model", "sparse", "--family", "bernoulli", "--q", "6",
+            "--data", sim_dir / "toy_data.csv", "--graph", sim_dir / "toy_graph.edges",
+            "--seed", "7", "--iterations", "10", "--burn-in", "9", "--thin", "5",
+            "--out-prefix", tmp_path / "fit",
+        ]
+    )
+    assert code == 1
+    assert "thin 5" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def _poisson_6x6(tmp_path, z, exposure=None):
+    """A 6x6 lattice and a Poisson data set on it; returns the fit arguments."""
+    from sglmm.graph import build_lattice
+
+    g = build_lattice(6, 6)
+    write_edge_list(tmp_path / "g.edges", g)
+    cols = {"z": z, "x": g.coords[:, 0], "y": g.coords[:, 1]}
+    if exposure is not None:
+        cols["E"] = exposure
+    write_table(tmp_path / "d.csv", list(cols), cols)
+    args = [
+        "fit", "--family", "poisson", "--data", tmp_path / "d.csv",
+        "--graph", tmp_path / "g.edges", "--out-prefix", tmp_path / "fit",
+    ]
+    return args + (["--offset-col", "E"] if exposure is not None else [])
+
+
+@pytest.mark.parametrize("model", ["nonspatial", "sparse"])
+@pytest.mark.parametrize("column", ["z", "E"])
+def test_fit_rejects_infinite_count_or_exposure(tmp_path, capsys, model, column):
+    # one infinite count or exposure used to give a NaN nonspatial summary,
+    # and a sparse fit that failed only at the start of its chain
+    z = np.random.default_rng(2).poisson(5.0, 36).astype(float)
+    exposure = np.full(36, 10.0)
+    {"z": z, "E": exposure}[column][5] = np.inf
+    args = _poisson_6x6(tmp_path, z, exposure)
+    if model == "sparse":
+        args += ["--q", "4", "--seed", "1", "--iterations", "200", "--burn-in", "50"]
+    assert run(args + ["--model", model]) == 1
+    assert "entry 5 is inf" in capsys.readouterr().err
+    assert not any(p.name.startswith("fit") for p in tmp_path.iterdir())
+
+
+def test_fit_nonspatial_non_finite_estimate_exits_2(tmp_path, capsys):
+    # counts of 1e12 drive IRLS from its zero start to a beta whose exp
+    # overflows; the fit used to exit 0 with a NaN summary
+    args = _poisson_6x6(tmp_path, np.full(36, 1e12))
+    assert run(args + ["--model", "nonspatial"]) == 2
+    assert "not finite" in capsys.readouterr().err
+    assert not any(p.name.startswith("fit") for p in tmp_path.iterdir())
+
+
 def test_summarize_reproduces_fit_summary(sim_dir, tmp_path):
     # the chain CSV holds every draw to 17 significant digits, so summarizing
     # it gives back the fit's own summary of its draws exactly

@@ -42,7 +42,17 @@ def test_bernoulli_separated_data_does_not_converge():
     Z = (np.arange(8.0) >= 4).astype(float)
     fit = irls_fit("bernoulli", X, Z)
     assert not fit.converged
-    assert len(fit.trace) == fit.iterations
+
+
+def test_diverging_poisson_fit_is_reported_without_warnings():
+    # counts of 1e12 with no intercept overflow exp at the second iterate;
+    # the fit stops there and says so, and numpy warns of nothing (pytest
+    # turns warnings into errors)
+    rng = np.random.default_rng(1)
+    X = rng.uniform(0.0, 1.0, (36, 2))
+    fit = irls_fit("poisson", X, np.full(36, 1e12))
+    assert not fit.converged
+    assert not np.all(np.isfinite(fit.beta_hat))
 
 
 def test_bernoulli_fit_recovers_coefficients():
@@ -140,6 +150,8 @@ def test_irls_rejects_offset_of_wrong_shape_or_sign():
         irls_fit("poisson", X, Z, offset=[1.0, 2.0, 3.0, 0.0, 5.0, 6.0])
     with pytest.raises(ValueError, match="positive; entry 1 is nan"):
         irls_fit("poisson", X, Z, offset=[1.0, np.nan, 3.0, 4.0, 5.0, 6.0])
+    with pytest.raises(ValueError, match="finite and positive; entry 2 is inf"):
+        irls_fit("poisson", X, Z, offset=[1.0, 2.0, np.inf, 4.0, 5.0, 6.0])
 
 
 def test_offset_gaussian_rejected():

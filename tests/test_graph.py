@@ -164,14 +164,6 @@ def test_laplacian_psd_small_graphs():
         assert vals.min() > -1e-10
 
 
-def test_quadratic_form_matches_dense():
-    g = build_lattice(6, 7)
-    pm = laplacian(g)
-    rng = np.random.default_rng(3)
-    w = rng.standard_normal(g.n)
-    assert pm.quadratic_form(w) == pytest.approx(w @ pm.dense() @ w)
-
-
 def test_edge_list_round_trip(tmp_path):
     g = build_lattice(3, 4)
     path = tmp_path / "g.edges"

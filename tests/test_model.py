@@ -150,6 +150,9 @@ def test_loglik_rejects_invalid_response():
     spec = ModelSpec("poisson", "nonspatial")
     with pytest.raises(ValueError, match="entry 0"):
         log_likelihood(spec, np.array([-1.0]), np.zeros(1))
+    # inf equals its own floor, so the integer test alone let it through
+    with pytest.raises(ValueError, match="entry 1 is inf"):
+        log_likelihood(spec, np.array([2.0, np.inf]), np.zeros(2))
 
 
 def _responses(family, rng, eta):

@@ -9,7 +9,7 @@ import scipy.sparse as sp
 from hypothesis import example, given, settings
 
 from sglmm.basis import DesignMatrix, moran_basis, rhz_basis
-from sglmm.glm import irls_fit
+from sglmm.glm import GlmFit, irls_fit
 from sglmm.graph import build_lattice, graph_from_edges, laplacian
 from sglmm.model import FAMILY, Dataset, ModelSpec, ParameterState, PriorSet
 import sglmm.sampler as sampler
@@ -37,6 +37,10 @@ def test_config_validation():
         McmcConfig(iterations=100, burn_in=100, seed=0)
     with pytest.raises(ValueError, match="thin"):
         McmcConfig(iterations=100, burn_in=10, thin=0, seed=0)
+    # 10 - 9 = 1 post-burn-in iteration cannot hold a draw every 5
+    with pytest.raises(ValueError, match=r"iterations 10, burn_in 9, thin 5"):
+        McmcConfig(iterations=10, burn_in=9, thin=5, seed=0)
+    assert McmcConfig(iterations=10, burn_in=5, thin=5, seed=0).thin == 5
 
 
 def test_color_classes_partition_without_adjacent_pairs():
@@ -201,7 +205,7 @@ def test_update_w_univariate_matches_full_quadratic_form(case):
     _, d_quad, d_ll = update_w_univariate(
         rng, W, eta, 0.8, tau=1.7, adjacency=g.adjacency().astype(float),
         degrees=g.degrees.astype(float), classes=color_classes(g),
-        site_loglik=lambda idx, e: np.zeros(e.shape),
+        site_loglik=lambda idx, e: np.zeros(e.shape), scale=np.ones(g.n),
     )
     assert np.any(W != W0)
     assert d_quad == pytest.approx(W @ Qd @ W - W0 @ Qd @ W0, rel=1e-10, abs=1e-10)
@@ -226,7 +230,7 @@ def test_prior_only_traditional_fit_finite_with_isolated_vertex():
     spec = ModelSpec("poisson", "traditional")
     cfg = McmcConfig(iterations=2_000, burn_in=500, thin=5, seed=33)
     chain = fit(spec, Dataset(X=X, Z=np.zeros(6)), laplacian(g), cfg, prior_only=True)
-    assert np.all(np.isfinite(chain.matrix()))
+    assert np.all(np.isfinite(chain.values))
     assert np.all(chain.draws["tau"] > 0)
     assert np.ptp(chain.column("effect.5")) > 0
 
@@ -243,7 +247,7 @@ def test_update_w_univariate_sweep_runs_and_returns_rate():
     site_ll = lambda idx, e: Z[idx] * e - np.logaddexp(0.0, e)
     rate, _, _ = update_w_univariate(
         rng, W, eta, 0.5, tau=1.0, adjacency=A, degrees=g.degrees.astype(float),
-        classes=classes, site_loglik=site_ll,
+        classes=classes, site_loglik=site_ll, scale=np.ones(25),
     )
     assert 0.0 < rate <= 1.0
     assert np.array_equal(eta, W)  # eta tracked the accepted moves
@@ -704,7 +708,7 @@ def test_traditional_gaussian_fit_finite_on_graph_with_islands():
     Z = X.X @ np.array([1.0, -1.0]) + np.random.default_rng(43).standard_normal(400)
     cfg = McmcConfig(iterations=2_000, burn_in=500, thin=5, seed=44)
     chain = fit(ModelSpec("gaussian", "traditional"), Dataset(X=X, Z=Z), laplacian(g), cfg)
-    assert np.all(np.isfinite(chain.matrix()))
+    assert np.all(np.isfinite(chain.values))
     assert np.all(chain.draws["tau"] > 0)
     assert np.all(chain.draws["sigma2"] > 0)
 
@@ -846,27 +850,24 @@ def test_fit_rejects_offset_not_one_per_site():
             fit(spec, data, laplacian(g), cfg)
 
 
-def test_initial_nonfinite_posterior_rejected():
-    # a poisson response too large for the IRLS start would overflow exp;
-    # fabricate by passing an absurd offset scale
+def test_initial_nonfinite_posterior_rejected(monkeypatch):
+    # a start whose eta overflows exp has a non-finite log posterior; force
+    # one by making the IRLS start return a huge beta
     g = build_lattice(3, 3)
     X = lattice_design(g)
     Z = np.full(9, 1.0)
     spec = ModelSpec("poisson", "nonspatial")
     cfg = McmcConfig(iterations=100, burn_in=10, seed=0)
-    # force a bad start: direct call with glm_fit carrying a huge beta
-    from sglmm.glm import GlmFit
-
     bad = GlmFit(
         beta_hat=np.array([800.0, 800.0]),
         cov_hat=np.eye(2),
         sigma2_hat=None,
         iterations=1,
         converged=True,
-        trace=(0.0,),
     )
+    monkeypatch.setattr(sampler, "irls_fit", lambda *args, **kwargs: bad)
     with pytest.raises(ValueError, match="non-finite"):
-        fit(spec, Dataset(X=X, Z=Z), None, cfg, glm_fit=bad)
+        fit(spec, Dataset(X=X, Z=Z), None, cfg)
 
 
 def test_fit_chains_split_streams():
@@ -905,7 +906,7 @@ def test_fit_chains_in_workers_match_serial_fits(two_cpus):
         alone = fit(spec, data, sim.basis, replace(cfg, seed=int(child.generate_state(1)[0])))
         assert chain.seed == alone.seed
         assert chain.names == alone.names
-        assert chain.matrix().tobytes() == alone.matrix().tobytes()
+        assert chain.values.tobytes() == alone.values.tobytes()
         assert chain.acceptance_rates == alone.acceptance_rates
         assert chain.step_sizes == alone.step_sizes
 
@@ -921,7 +922,7 @@ def test_fit_chains_streams_every_row_in_calling_process(two_cpus):
     for chain, out in zip(chains, rows):
         assert len(out) == chain.n_draws
         assert all(names == chain.names for names, _ in out)
-        assert np.array_equal(np.array([row for _, row in out]), chain.matrix())
+        assert np.array_equal(np.array([row for _, row in out]), chain.values)
 
 
 def test_fit_chains_raises_worker_failure(two_cpus):
@@ -944,4 +945,4 @@ def test_stream_receives_every_retained_draw():
     assert len(rows) == chain.n_draws
     assert rows[0][0] == chain.names
     stacked = np.array([r[1] for r in rows])
-    assert np.allclose(stacked, chain.matrix())
+    assert np.allclose(stacked, chain.values)

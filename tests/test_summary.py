@@ -14,12 +14,16 @@ from sglmm.summary import (
     hpd_interval,
     mcse,
     summarize_chain,
-    summarize_draws,
     summarize_matrix,
 )
 
 
-def make_chain(draws_dict, names, spec=None):
+def summarize_column(draws, level=0.95):
+    """``summarize_matrix`` of one sequence of draws."""
+    return summarize_matrix(np.reshape(draws, (-1, 1)), ["draws"], level).params["draws"]
+
+
+def make_chain(draws_dict, names):
     # the chain's one (draws, params) array: the blocks side by side in the
     # order beta, effects, tau, sigma2; without names, the beta and effect
     # columns are numbered
@@ -33,13 +37,11 @@ def make_chain(draws_dict, names, spec=None):
         acceptance_rates={},
         wall_time=0.0,
         seed=0,
-        spec=spec,
-        config=McmcConfig(iterations=200, burn_in=100, thin=1, seed=0),
     )
 
 
 def test_constant_draws_degenerate_summary():
-    s = summarize_draws(np.full(500, 3.25))
+    s = summarize_column(np.full(500, 3.25))
     assert s.mean == 3.25
     assert (s.eqt_lo, s.eqt_hi) == (3.25, 3.25)
     assert (s.hpd_lo, s.hpd_hi) == (3.25, 3.25)
@@ -161,11 +163,10 @@ def test_summarize_chain_equals_per_column_summaries(n_draws, include_effects):
     fs = summarize_chain(chain, level=0.9, include_effects=include_effects)
     kept = [n for n in names if include_effects or not n.startswith("effect.")]
     assert list(fs.params) == kept
-    mat = chain.matrix()
     for name in kept:
-        col = mat[:, names.index(name)]
+        col = chain.column(name)
         s = fs.params[name]
-        assert s == summarize_draws(col, level=0.9)
+        assert s == summarize_column(col, level=0.9)
         assert s.mean == float(col.mean())
         assert (s.eqt_lo, s.eqt_hi) == equal_tailed_interval(col, level=0.9)
         assert (s.hpd_lo, s.hpd_hi) == hpd_interval(col, level=0.9)
@@ -185,7 +186,7 @@ def test_blocked_summaries_equal_per_column_summaries():
     for j, name in enumerate(names):
         col = mat[:, j]
         s = fs.params[name]
-        assert s == summarize_draws(col, level=0.9)
+        assert s == summarize_column(col, level=0.9)
         assert s.mean == float(col.mean())
         assert (s.eqt_lo, s.eqt_hi) == equal_tailed_interval(col, level=0.9)
         assert (s.hpd_lo, s.hpd_hi) == hpd_interval(col, level=0.9)
@@ -222,7 +223,7 @@ def test_fitted_surface_memory_does_not_grow_with_draws(n_draws, traced_peak):
         "tau": rng.gamma(2.0, 1.0, n_draws),
     }
     names = [f"beta.{n}" for n in X.names] + [f"effect.{i}" for i in range(50)] + ["tau"]
-    chain = make_chain(draws, names, spec)
+    chain = make_chain(draws, names)
     assert traced_peak(fitted_surface, chain, spec, X, mb) < 2 * 2**20
 
 
@@ -246,7 +247,7 @@ def test_fitted_surface_blocks_match_one_shot(model):
     for n_draws in (210, 2500):
         beta = 0.3 * rng.standard_normal((n_draws, 2))
         effects = 0.3 * rng.standard_normal((n_draws, loading.shape[1]))
-        chain = make_chain({"beta": beta, "effects": effects}, [], spec)
+        chain = make_chain({"beta": beta, "effects": effects}, [])
         eta = X.X @ beta.T + loading @ effects.T + np.log(offset)[:, None]
         expected = np.exp(eta).mean(axis=1)
         # a BLAS product over a tile may round differently in the last bit,
@@ -266,7 +267,6 @@ def test_fitted_surface_single_draw_and_zero_norm():
     chain = make_chain(
         {"beta": beta, "effects": effects, "tau": np.array([1.0])},
         [f"beta.{n}" for n in X.names] + [f"effect.{i}" for i in range(3)] + ["tau"],
-        spec,
     )
     eta = X.X @ beta[0] + mb.M @ effects[0]
     expected = 1 / (1 + np.exp(-eta))
@@ -282,7 +282,7 @@ def test_fitted_surface_with_offset():
     births = np.linspace(5, 50, 9)
     spec = ModelSpec("poisson", "nonspatial", offset=births)
     beta = np.zeros((1, 2))
-    chain = make_chain({"beta": beta}, ["beta.x", "beta.y"], spec)
+    chain = make_chain({"beta": beta}, ["beta.x", "beta.y"])
     fitted = fitted_surface(chain, spec, X, None)
     assert np.allclose(fitted, births)
 
