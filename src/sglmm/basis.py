@@ -9,7 +9,7 @@ attainable values of the generalized Moran's I.
 Two reduced bases are provided:
 
 * ``rhz_basis``: an orthonormal basis L of span(X)-perp (all n - p columns),
-  with reduced precision Q_R = L' Q L.
+  with reduced precision Q_R = L' Q L, both from one Householder QR of X.
 * ``moran_basis``: the q leading Moran eigenvectors M, with reduced
   precision Q_S = M' Q M.
 
@@ -27,6 +27,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg
+from scipy.linalg.lapack import dgeqrf, dormqr
 
 from .graph import Graph, PrecisionMatrix, laplacian
 
@@ -156,7 +157,11 @@ class MoranBasis:
 
 @dataclass(frozen=True)
 class RhzBasis:
-    """Orthonormal basis L of span(X)-perp with Q_R = L' Q L."""
+    """Orthonormal basis L of span(X)-perp with Q_R = L' Q L.
+
+    L is n x (n - p), the Householder completion of span(X) built by
+    ``rhz_basis``; Q_R is (n - p) x (n - p) and exactly symmetric.
+    """
 
     L: np.ndarray
     Q_R: np.ndarray
@@ -174,14 +179,23 @@ def _orthonormal_range(X: np.ndarray) -> np.ndarray:
 
 
 def _fix_signs(V: np.ndarray) -> np.ndarray:
-    """Flip eigenvector columns so the first nonzero component is positive."""
-    V = V.copy()
-    for j in range(V.shape[1]):
-        col = V[:, j]
-        nz = np.nonzero(np.abs(col) > 1e-9 * np.abs(col).max())[0]
-        if nz.size and col[nz[0]] < 0:
-            V[:, j] = -col
-    return V
+    """Flip columns of V in place so each one's first nonzero component is positive.
+
+    A component counts as nonzero above 1e-9 times its column's largest
+    magnitude. Returns the signs applied, one per column.
+    """
+    cutoff = 1e-9 * np.maximum(V.max(axis=0), -V.min(axis=0))
+    first = np.argmax((V > cutoff) | (V < -cutoff), axis=0)
+    signs = np.where(V[first, np.arange(V.shape[1])] < 0, -1.0, 1.0)
+    V *= signs
+    return signs
+
+
+def _check_orthonormal(B: np.ndarray) -> None:
+    """Raise unless B'B = I, probed in O(nk) as B'(B r) = r for one fixed r."""
+    r = np.random.default_rng(0).standard_normal(B.shape[1])
+    if np.linalg.norm(B.T @ (B @ r) - r) > 1e-8 * np.linalg.norm(r):
+        raise ValueError("B does not have orthonormal columns")
 
 
 def _moran_triangle(X, g: Graph) -> np.ndarray:
@@ -406,7 +420,8 @@ def moran_basis(
             )
         vals, vecs = vals_k[:q], vecs_k[:, :q]
 
-    M = _fix_signs(vecs)
+    M = vecs.copy()
+    _fix_signs(M)
     Q = laplacian(g)
     Q_S = reduced_precision(M, Q)
     return MoranBasis(
@@ -420,22 +435,37 @@ def moran_basis(
 def rhz_basis(X, g: Graph) -> RhzBasis:
     """Orthonormal basis of span(X)-perp with reduced precision Q_R = L'QL.
 
-    L has n - p columns; any orthonormal completion of span(X) spans the
-    same space, so the contract is the subspace, not individual vectors.
+    One Householder QR of the design, X = H [R; 0] (LAPACK ``dgeqrf``),
+    gives both: L is the last n - p columns of H, the p reflectors applied
+    to the slab [0; I], and Q_R is the trailing (n - p) block of H'QH, the
+    reflectors applied to the dense Laplacian from both sides (``dormqr``).
+    Time O(n^2 p), peak memory three n x n float arrays (L, H'QH, Q_R), and
+    no SVD or O(n k^2) product. L takes the sign convention of the Moran
+    bases and Q_R the same signs, symmetrized exactly. Any orthonormal
+    completion of span(X) spans the same space, so the contract is the
+    subspace, not the individual vectors.
     """
     Xa = _as_array(X)
     n, p = Xa.shape
     if p >= n:
         raise ValueError(f"need p < n for a nonempty complement, got {n} x {p}")
-    _orthonormal_range(Xa)  # rank validation
-    L = scipy.linalg.null_space(Xa.T)
-    if L.shape[1] != n - p:
-        raise ValueError(
-            f"complement has {L.shape[1]} dimensions, expected {n - p}; "
-            "design matrix is numerically rank deficient"
-        )
-    L = _fix_signs(L)
-    Q_R = reduced_precision(L, laplacian(g))
+    _check_rank(Xa)
+    reflectors, tau, _, _ = dgeqrf(Xa)
+
+    def apply(side, trans, C):
+        """H C, H' C or C H on the F-ordered C, overwriting it."""
+        # a workspace query reads no entry of C; overwrite_c spares its copy
+        lwork = int(dormqr(side, trans, reflectors, tau, C, -1, overwrite_c=1)[1][0])
+        return dormqr(side, trans, reflectors, tau, C, lwork, overwrite_c=1)[0]
+
+    L = apply("L", "N", np.eye(n, n - p, -p, order="F"))
+    signs = _fix_signs(L)
+    _check_orthonormal(L)
+    HQH = apply("R", "N", apply("L", "T", laplacian(g).Q.toarray(order="F")))
+    Q_R = HQH[p:, p:].copy()
+    del HQH  # freed before the transposed copy: three n x n arrays at most
+    Q_R += Q_R.T.copy()
+    Q_R *= np.outer(0.5 * signs, signs)
     return RhzBasis(L=L, Q_R=Q_R)
 
 

@@ -21,6 +21,7 @@ import argparse
 import csv
 import hashlib
 import json
+import os
 import sys
 import time
 from contextlib import ExitStack
@@ -352,12 +353,21 @@ def _cmd_fit(args, argv):
     n_chains = args.chains
     suffixes = [""] if n_chains == 1 else [f"_{i}" for i in range(n_chains)]
     paths = [f"{prefix}_chain{suffix}.csv" for suffix in suffixes]
-    with ExitStack() as files:
-        writers = [files.enter_context(RowWriter(path)) for path in paths]
-        if n_chains == 1:
-            chains = [run_mcmc(spec, data, basis, cfg, stream=writers[0])]
-        else:
-            chains = sampler.fit_chains(spec, data, basis, cfg, n_chains, streams=writers)
+    writers = []
+    try:
+        # opened before the chain runs, so an unwritable prefix fails first
+        with ExitStack() as files:
+            writers = [files.enter_context(RowWriter(path)) for path in paths]
+            if n_chains == 1:
+                chains = [run_mcmc(spec, data, basis, cfg, stream=writers[0])]
+            else:
+                chains = sampler.fit_chains(spec, data, basis, cfg, n_chains, streams=writers)
+    except BaseException:
+        # a chain that failed before its first row leaves no empty file
+        for path, writer in zip(paths, writers):
+            if writer.template is None:
+                os.remove(path)
+        raise
 
     for suffix, chain in zip(suffixes, chains):
         _write_json(f"{prefix}_summary{suffix}.json", _chain_summary_doc(chain, args.level))

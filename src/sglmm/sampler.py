@@ -491,6 +491,11 @@ def fit(
         chol_prop = np.eye(p)
     else:
         glm_fit = irls_fit(spec.family, X, Z, offset=spec.offset)
+        if not np.all(np.isfinite(glm_fit.beta_hat)):
+            raise FloatingPointError(
+                f"IRLS estimate is not finite after {glm_fit.iterations} iterations; "
+                "check data scaling"
+            )
         beta = glm_fit.beta_hat.copy()
         chol_prop = _proposal_chol(glm_fit.cov_hat)
     state = ParameterState(
@@ -516,7 +521,7 @@ def fit(
         ll0 = log_likelihood(spec, Z, eta, state.sigma2) if gaussian else ll
         lp0 = log_prior(spec, X, basis, state)
         if not np.isfinite(ll0 + lp0):
-            raise ValueError(
+            raise FloatingPointError(
                 f"non-finite log posterior at initialization "
                 f"(log-likelihood {ll0}, log-prior {lp0}); check data scaling"
             )

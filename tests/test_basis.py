@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 from scipy.spatial import Delaunay
@@ -196,6 +197,59 @@ def test_rhz_basis_orthogonal_to_design():
     X = rng.standard_normal((40, 3))
     rb = rhz_basis(X, g)
     assert np.abs(X.T @ rb.L).max() < 1e-8
+
+
+def _rhz_case(name):
+    if name == "lattice-12x15":
+        g = build_lattice(12, 15)
+        return g, lattice_design(g).X
+    if name == "islands-and-isolated-vertex":
+        # a random first column, so the columns of L need both signs
+        g, _ = _two_islands_and_isolated_vertex(6)
+        return g, np.random.default_rng(4).standard_normal((g.n, 3))
+    if name == "intercept-only":
+        g = build_lattice(9, 7)
+        return g, np.ones((g.n, 1))
+    g = build_lattice(4, 5)  # p = n - 1
+    return g, np.random.default_rng(3).standard_normal((g.n, g.n - 1))
+
+
+@pytest.mark.parametrize(
+    "case", ["lattice-12x15", "islands-and-isolated-vertex", "intercept-only", "p-is-n-minus-1"]
+)
+def test_rhz_basis_matches_dense_oracles(case):
+    # the Householder completion spans the complement the SVD null space
+    # spans, and Q_R is the dense congruence L'QL of that same L
+    g, X = _rhz_case(case)
+    n, p = X.shape
+    rb = rhz_basis(X, g)
+    L = rb.L
+    assert L.shape == (n, n - p) and rb.k == n - p
+    ref = scipy.linalg.null_space(X.T)
+    assert np.abs(L @ L.T - ref @ ref.T).max() < 1e-12
+    assert np.abs(X.T @ L).max() < 1e-12
+    assert np.abs(L.T @ L - np.eye(n - p)).max() < 1e-12
+    assert np.abs(rb.Q_R - L.T @ (laplacian(g).dense() @ L)).max() < 1e-12
+    assert np.array_equal(rb.Q_R, rb.Q_R.T)
+    for col in L.T:
+        nz = np.nonzero(np.abs(col) > 1e-9 * np.abs(col).max())[0]
+        assert col[nz[0]] > 0
+
+
+def test_orthonormality_check_rejects_a_scaled_column():
+    g = build_lattice(10, 10)
+    L = rhz_basis(lattice_design(g), g).L.copy()
+    basis_module._check_orthonormal(L)
+    L[:, 17] *= 1.001
+    with pytest.raises(ValueError, match="orthonormal"):
+        basis_module._check_orthonormal(L)
+
+
+def test_rhz_basis_memory_is_three_n_by_n_arrays(traced_peak):
+    # three n x n arrays at most: L, the dense H'QH and the copy of its
+    # trailing block (an SVD null space with L'L and L'(QL) peaks at 5.1)
+    g = build_lattice(40, 40)
+    assert traced_peak(rhz_basis, lattice_design(g), g) < 3.5 * g.n**2 * 8
 
 
 def test_reduced_precision_identity_basis():

@@ -10,8 +10,10 @@ import os
 import shutil
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import sglmm.basis as basis
@@ -25,6 +27,8 @@ def _load_bench_module(name, monkeypatch):
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
     spec = importlib.util.spec_from_file_location(f"bench_{name}", ROOT / "bench" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
+    # registered, since a dataclass looks up its module while being defined
+    monkeypatch.setitem(sys.modules, spec.name, module)
     spec.loader.exec_module(module)
     return module
 
@@ -43,6 +47,19 @@ def test_benchmark_harness_finds_every_name_it_uses(monkeypatch):
         undo()
     for module, names in zip(modules, before):
         assert all(getattr(module, name) is value for name, value in names.items())
+
+
+def test_benchmark_layers_measure_an_rhz_fit(tmp_path, monkeypatch):
+    # the traced mode passes the rhz basis's L and Q_R to the kernels it
+    # times; a tiny gaussian-rhz input runs every one of them once
+    inputs = _load_bench_module("inputs", monkeypatch)
+    layers = _load_bench_module("layers", monkeypatch)
+    w = replace(inputs.WORKLOADS["gaussian-rhz"], size=(6, 6), iterations=40, burn_in=10)
+    data, graph = str(tmp_path / "d.csv"), str(tmp_path / "g.edges")
+    inputs.write_inputs(inputs.make_inputs(w, 1), data, graph)
+    out = layers.measure(inputs.fit_argv(w, data, graph, str(tmp_path / "fit"), 1))
+    assert all(np.isfinite(v) for v in out.values())
+    assert out["sampler.gibbs_gaussian_us"] > 0
 
 
 @pytest.mark.parametrize(

@@ -703,6 +703,32 @@ def test_fit_nonspatial_non_finite_estimate_exits_2(tmp_path, capsys):
     assert not any(p.name.startswith("fit") for p in tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("chains", ["1", "2"])
+def test_fit_mcmc_non_finite_start_exits_2_and_leaves_no_file(tmp_path, capsys, chains):
+    # the same counts give an IRLS start that is not finite; the chain file
+    # was opened before the start was checked and used to be left empty
+    args = _poisson_6x6(tmp_path, np.full(36, 1e12))
+    args += ["--model", "sparse", "--q", "4", "--seed", "1", "--iterations", "200",
+             "--burn-in", "50", "--chains", chains]
+    assert run(args) == 2
+    assert "not finite" in capsys.readouterr().err
+    assert not any(p.name.startswith("fit") for p in tmp_path.iterdir())
+
+
+def test_fit_unwritable_prefix_fails_before_the_chain(tmp_path, monkeypatch):
+    import sglmm.cli as cli_mod
+
+    def never(*args, **kwargs):
+        raise AssertionError("the chain ran")
+
+    monkeypatch.setattr(cli_mod, "run_mcmc", never)
+    args = _poisson_6x6(tmp_path, np.full(36, 3.0))
+    args[args.index("--out-prefix") + 1] = tmp_path / "missing" / "fit"
+    args += ["--model", "sparse", "--q", "4", "--seed", "1", "--iterations", "200",
+             "--burn-in", "50"]
+    assert run(args) == 1
+
+
 def test_summarize_reproduces_fit_summary(sim_dir, tmp_path):
     # the chain CSV holds every draw to 17 significant digits, so summarizing
     # it gives back the fit's own summary of its draws exactly

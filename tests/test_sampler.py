@@ -866,7 +866,7 @@ def test_initial_nonfinite_posterior_rejected(monkeypatch):
         converged=True,
     )
     monkeypatch.setattr(sampler, "irls_fit", lambda *args, **kwargs: bad)
-    with pytest.raises(ValueError, match="non-finite"):
+    with pytest.raises(FloatingPointError, match="non-finite"):
         fit(spec, Dataset(X=X, Z=Z), None, cfg)
 
 
