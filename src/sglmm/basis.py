@@ -13,10 +13,12 @@ Two reduced bases are provided:
 * ``moran_basis``: the q leading Moran eigenvectors M, with reduced
   precision Q_S = M' Q M.
 
-Eigenvectors follow the sign convention "first nonzero component positive"
-so outputs are deterministic across solvers. All operations here are pure
-and return immutable results; for a fixed input the decompositions are
-deterministic regardless of BLAS thread count.
+Every function takes the design as a ``DesignMatrix``, whose constructor
+is the one check of full column rank and p < n. Eigenvectors follow the
+sign convention "first nonzero component positive". All operations here
+are pure and return immutable results. For a fixed input the decompositions
+are deterministic at a fixed BLAS thread count; another thread count can
+change the eigenvectors' bytes.
 """
 
 from __future__ import annotations
@@ -70,10 +72,6 @@ _ZERO_SNAP = 1e-10
 
 def _snap_zeros(vals: np.ndarray) -> np.ndarray:
     return np.where(np.abs(vals) <= _ZERO_SNAP, 0.0, vals)
-
-
-def _as_array(X) -> np.ndarray:
-    return X.X if isinstance(X, DesignMatrix) else np.asarray(X, dtype=float)
 
 
 def _dependent_column(X: np.ndarray) -> int:
@@ -171,11 +169,9 @@ class RhzBasis:
         return self.L.shape[1]
 
 
-def _orthonormal_range(X: np.ndarray) -> np.ndarray:
-    """Orthonormal basis U of span(X), validating full column rank."""
-    _check_rank(X)
-    U, _ = np.linalg.qr(X)
-    return U
+def _orthonormal_range(X: DesignMatrix) -> np.ndarray:
+    """Orthonormal basis U of span(X)."""
+    return np.linalg.qr(X.X)[0]
 
 
 def _fix_signs(V: np.ndarray) -> np.ndarray:
@@ -198,7 +194,7 @@ def _check_orthonormal(B: np.ndarray) -> None:
         raise ValueError("B does not have orthonormal columns")
 
 
-def _moran_triangle(X, g: Graph) -> np.ndarray:
+def _moran_triangle(X: DesignMatrix, g: Graph) -> np.ndarray:
     """P A P in the one n x n buffer of the dense adjacency A.
 
     Returns the F-ordered view whose upper triangle holds P A P; the lower
@@ -206,14 +202,14 @@ def _moran_triangle(X, g: Graph) -> np.ndarray:
     an orthonormal basis of span(X): one in-place rank-2p update.
     """
     A = g.dense_adjacency()
-    U = _orthonormal_range(_as_array(X))
+    U = _orthonormal_range(X)
     T = A.T  # A is symmetric, so its F-ordered view is A itself
     AU = T @ U
     W = AU - 0.5 * (U @ (U.T @ AU))
     return scipy.linalg.blas.dsyr2k(-1.0, U, W, beta=1.0, c=T, overwrite_c=1)
 
 
-def moran_operator(X, g: Graph) -> np.ndarray:
+def moran_operator(X: DesignMatrix, g: Graph) -> np.ndarray:
     """Moran operator P-perp A P-perp of the design X on the graph g.
 
     Large eigenvalues mean attraction. Returns a dense n x n symmetric matrix
@@ -232,12 +228,12 @@ def _standardizer(g: Graph) -> float:
     return g.n / total
 
 
-def _moran_eigh(X, g: Graph, **options):
+def _moran_eigh(X: DesignMatrix, g: Graph, **options):
     """Eigenvalues and, unless ``eigvals_only``, eigenvectors, descending.
 
     The MRRR driver ``dsyevr`` (Dhillon, Parlett & Voemel 2006) works in the
     buffer of ``_moran_triangle`` and computes only the pairs asked for by
-    ``subset_by_index`` or ``subset_by_value``, all pairs without them.
+    ``subset_by_index``, all pairs without it.
     """
     out = scipy.linalg.eigh(
         _moran_triangle(X, g), lower=False, driver="evr",
@@ -248,14 +244,14 @@ def _moran_eigh(X, g: Graph, **options):
     return _snap_zeros(out[0][::-1]), out[1][:, ::-1]
 
 
-def moran_spectrum(X, g: Graph) -> tuple[np.ndarray, np.ndarray]:
+def moran_spectrum(X: DesignMatrix, g: Graph) -> tuple[np.ndarray, np.ndarray]:
     """All eigenvalues of the Moran operator, descending, raw and standardized."""
     scale = _standardizer(g)
     vals = _moran_eigh(X, g, eigvals_only=True)
     return vals, vals * scale
 
 
-def moran_eigensystem(X, g: Graph) -> tuple[np.ndarray, np.ndarray]:
+def moran_eigensystem(X: DesignMatrix, g: Graph) -> tuple[np.ndarray, np.ndarray]:
     """Full eigendecomposition of the Moran operator, descending.
 
     Returns (eigenvalues, eigenvectors); its peak memory is two n x n
@@ -270,7 +266,7 @@ def _dense_eigpairs(n: int, k: int) -> bool:
     return k >= n - 1 or n <= min(_DENSE_EIG_LIMIT, max(_DENSE_EIG_SMALL, _DENSE_EIG_RATIO * k))
 
 
-def _leading_eigpairs(X, g: Graph, k: int) -> tuple[np.ndarray, np.ndarray]:
+def _leading_eigpairs(X: DesignMatrix, g: Graph, k: int) -> tuple[np.ndarray, np.ndarray]:
     """k largest eigenpairs of the Moran operator P A P, descending.
 
     On small graphs, or when k is a large fraction of n (``_dense_eigpairs``),
@@ -288,11 +284,10 @@ def _leading_eigpairs(X, g: Graph, k: int) -> tuple[np.ndarray, np.ndarray]:
     one kept, swaps it in, and repeats until none is found. All start
     vectors are fixed, so the result is reproducible.
     """
-    Xa = _as_array(X)
-    n = Xa.shape[0]
+    n = X.n
     if _dense_eigpairs(n, k):
-        return _moran_eigh(Xa, g, subset_by_index=[n - k, n - 1])
-    U = _orthonormal_range(Xa)
+        return _moran_eigh(X, g, subset_by_index=[n - k, n - 1])
+    U = _orthonormal_range(X)
     A = g.adjacency().astype(float)
 
     def project(v):
@@ -355,72 +350,39 @@ def _leading_eigpairs(X, g: Graph, k: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def moran_basis(
-    X,
+    X: DesignMatrix,
     g: Graph,
-    q: int | None = None,
-    threshold: float | None = None,
+    q: int,
     eigensystem: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> MoranBasis:
     """Basis of the q leading Moran eigenvectors with reduced precision Q_S.
 
-    Rank selection is by exactly one rule: a fixed dimension ``q`` (which
-    must not exceed the count of strictly positive eigenvalues), or a
-    standardized-eigenvalue threshold ``threshold`` (keep eigenvectors whose
-    standardized eigenvalue exceeds it). A precomputed ``eigensystem``
-    (descending eigenvalues and eigenvectors of the Moran operator) skips
-    the decomposition.
+    q must not exceed the count of strictly positive eigenvalues. The pairs
+    come from ``_leading_eigpairs``, or from a precomputed ``eigensystem``
+    (descending eigenvalues and eigenvectors of the Moran operator), which
+    skips the decomposition.
 
     Within a tie the solver's ordering is preserved; the contract for tied
     eigenvalues is the spanned subspace, not the individual vectors.
     """
-    if (q is None) == (threshold is None):
-        raise ValueError("specify exactly one of q or threshold")
     scale = _standardizer(g)
-    Xa = _as_array(X)
-    n = Xa.shape[0]
+    if q < 1:
+        raise ValueError(f"q must be >= 1, got {q}")
+    if eigensystem is None:
+        eigensystem = _leading_eigpairs(X, g, min(X.n, q))
+    vals, vecs = eigensystem
+    k = vals.shape[0]
+    if q > k:
+        raise ValueError(f"q={q} exceeds the {k} available eigenpairs")
+    vals = vals[:q]
+    n_positive = int(np.sum(vals > 0))
+    if n_positive < q:
+        raise ValueError(
+            f"q={q} exceeds the number of positive Moran eigenvalues "
+            f"({n_positive})"
+        )
 
-    if threshold is not None:
-        if threshold <= 0:
-            raise ValueError(f"threshold must be positive, got {threshold}")
-        if eigensystem is not None:
-            vals, vecs = eigensystem
-        elif n <= _DENSE_EIG_LIMIT:
-            # from a little below, so rounding loses no pair the test keeps
-            floor = threshold / scale * (1.0 - 1e-9)
-            vals, vecs = _moran_eigh(Xa, g, subset_by_value=[floor, np.inf])
-        else:
-            # Grow k until the spectrum crosses the threshold.
-            k = min(n - 2, 256)
-            while True:
-                vals, vecs = _leading_eigpairs(Xa, g, k)
-                if vals[-1] * scale <= threshold or k >= n - 2:
-                    break
-                k = min(n - 2, 2 * k)
-        keep = int(np.sum(vals * scale > threshold))
-        if keep == 0:
-            raise ValueError(
-                f"no standardized eigenvalue exceeds threshold {threshold}"
-            )
-        vals, vecs = vals[:keep], vecs[:, :keep]
-    else:
-        if q < 1:
-            raise ValueError(f"q must be >= 1, got {q}")
-        if eigensystem is not None:
-            vals_k, vecs_k = eigensystem
-        else:
-            vals_k, vecs_k = _leading_eigpairs(Xa, g, min(n, q))
-        k = vals_k.shape[0]
-        if q > k:
-            raise ValueError(f"q={q} exceeds the {k} available eigenpairs")
-        n_positive = int(np.sum(vals_k[:q] > 0))
-        if n_positive < q:
-            raise ValueError(
-                f"q={q} exceeds the number of positive Moran eigenvalues "
-                f"({n_positive})"
-            )
-        vals, vecs = vals_k[:q], vecs_k[:, :q]
-
-    M = vecs.copy()
+    M = vecs[:, :q].copy()
     _fix_signs(M)
     Q = laplacian(g)
     Q_S = reduced_precision(M, Q)
@@ -432,7 +394,7 @@ def moran_basis(
     )
 
 
-def rhz_basis(X, g: Graph) -> RhzBasis:
+def rhz_basis(X: DesignMatrix, g: Graph) -> RhzBasis:
     """Orthonormal basis of span(X)-perp with reduced precision Q_R = L'QL.
 
     One Householder QR of the design, X = H [R; 0] (LAPACK ``dgeqrf``),
@@ -445,12 +407,8 @@ def rhz_basis(X, g: Graph) -> RhzBasis:
     completion of span(X) spans the same space, so the contract is the
     subspace, not the individual vectors.
     """
-    Xa = _as_array(X)
-    n, p = Xa.shape
-    if p >= n:
-        raise ValueError(f"need p < n for a nonempty complement, got {n} x {p}")
-    _check_rank(Xa)
-    reflectors, tau, _, _ = dgeqrf(Xa)
+    n, p = X.X.shape
+    reflectors, tau, _, _ = dgeqrf(X.X)
 
     def apply(side, trans, C):
         """H C, H' C or C H on the F-ordered C, overwriting it."""
@@ -489,7 +447,7 @@ def reduced_precision(B: np.ndarray, Q) -> np.ndarray:
     return (out + out.T) / 2.0
 
 
-def moran_I(g: Graph, Z: np.ndarray, X=None) -> float:
+def moran_I(g: Graph, Z: np.ndarray, X: DesignMatrix | None = None) -> float:
     """Moran's I, classical or generalized to an arbitrary design matrix.
 
     With no X this is the classical statistic (intercept-only projection
@@ -503,8 +461,7 @@ def moran_I(g: Graph, Z: np.ndarray, X=None) -> float:
     if X is None:
         resid = Z - Z.mean()
     else:
-        Xa = _as_array(X)
-        U = _orthonormal_range(Xa)
+        U = _orthonormal_range(X)
         resid = Z - U @ (U.T @ Z)
     denom = float(resid @ resid)
     if denom <= 1e-12 * max(float(Z @ Z), 1.0):

@@ -170,9 +170,16 @@ def _cmd_eigs(args, argv):
     )
     print(f"spectrum: {vals.shape[0]} eigenvalues -> {args.spectrum_out}")
 
-    if args.q is not None or args.threshold is not None:
-        mb = moran_basis(X, g, q=args.q, threshold=args.threshold)
-        rule = f"q={args.q}" if args.q is not None else f"standardized eigenvalue > {args.threshold}"
+    q, rule = args.q, f"q={args.q}"
+    if args.threshold is not None:
+        # the rank comes from the spectrum just written, so the two agree
+        if args.threshold <= 0:
+            raise ValueError(f"threshold must be positive, got {args.threshold}")
+        q, rule = int(np.sum(std > args.threshold)), f"standardized eigenvalue > {args.threshold}"
+        if q == 0:
+            raise ValueError(f"no standardized eigenvalue exceeds threshold {args.threshold}")
+    if q is not None:
+        mb = moran_basis(X, g, q=q)
         print(f"moran basis: {mb.q} columns ({rule})")
         if args.basis_out:
             names_out = [f"m{i}" for i in range(mb.q)]
@@ -265,8 +272,7 @@ def _load_fit_inputs(args):
         cov_names = [nm for nm in table.names if nm not in drop]
     if not cov_names:
         raise ValueError("no covariate columns left after removing response/offset")
-    X = DesignMatrix(table.matrix(cov_names), names=tuple(cov_names))
-    return g, X, Z, offset
+    return g, _design_from_table(table, cov_names), Z, offset
 
 
 def _build_basis(model, X, g, q):
@@ -421,8 +427,6 @@ def _cmd_reproduce(args, argv):
     for fam in families:
         if fam not in FAMILIES:
             raise ValueError(f"unknown family {fam!r}; allowed: {', '.join(FAMILIES)}")
-    import os
-
     os.makedirs(args.out_dir, exist_ok=True)
     seeds = np.random.SeedSequence(args.seed).spawn(len(families))
     rows = []
@@ -575,8 +579,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graph", required=True, help="edge-list file")
     p.add_argument("--design", required=True, help="design CSV")
     p.add_argument("--covariates", help="comma-separated design columns (default: all)")
-    p.add_argument("--q", type=int, help="fixed basis dimension")
-    p.add_argument("--threshold", type=float, help="standardized-eigenvalue threshold")
+    rank = p.add_mutually_exclusive_group()
+    rank.add_argument("--q", type=int, help="fixed basis dimension")
+    rank.add_argument("--threshold", type=float, help="standardized-eigenvalue threshold")
     p.add_argument("--spectrum-out", default="spectrum.csv")
     p.add_argument("--basis-out", help="basis matrix CSV output")
     p.add_argument("--map-out", help="per-vector map CSV (x, y, component)")

@@ -46,7 +46,7 @@ def _eta(X: np.ndarray, beta: np.ndarray, log_offset: np.ndarray | None) -> np.n
 # a diverging iterate overflows on its way to a non-finite beta, where the
 # loop stops and the fit reports it (not converged, non-finite estimates)
 @np.errstate(divide="ignore", over="ignore", invalid="ignore")
-def irls_fit(family: str, X, Z, offset=None) -> GlmFit:
+def irls_fit(family: str, X: DesignMatrix, Z, offset=None) -> GlmFit:
     """Maximize the GLM likelihood by Fisher scoring.
 
     Convergence is max|delta beta| < 1e-8 within 100 iterations. A
@@ -55,11 +55,7 @@ def irls_fit(family: str, X, Z, offset=None) -> GlmFit:
     weighted system is an error. ``offset`` (Poisson only) holds n positive
     exposures.
     """
-    if isinstance(X, DesignMatrix):
-        Xa = X.X
-    else:
-        Xa = np.asarray(X, dtype=float)
-        DesignMatrix(Xa)  # full-rank validation
+    Xa = X.X
     fam = FAMILY[family]
     Z = np.asarray(Z, dtype=float)
     fam.check(Z)

@@ -41,7 +41,9 @@ the initial steps are fixed: ``_BLOCKS`` holds both, one row per block.
 
 Randomness comes from a PCG64 generator seeded through
 ``numpy.random.SeedSequence``; multiple chains split the stream by spawning
-child sequences, so a (seed, config) pair reproduces draws bit for bit.
+child sequences, so at a fixed BLAS thread count a (seed, config) pair
+reproduces draws bit for bit. Another thread count can change the
+eigenvectors the chain is rotated by, and with them the draws.
 
 The univariate site sweep visits every vertex once per iteration, grouped
 into mutually non-adjacent color classes so each class updates as one

@@ -19,7 +19,7 @@ from sglmm.graph import build_lattice, graph_from_edges, laplacian
 from sglmm.simulate import lattice_design
 
 TWO_VERTEX = graph_from_edges(2, [(0, 1)])
-ONES_2 = np.ones((2, 1))
+ONES_2 = DesignMatrix(np.ones((2, 1)))
 
 
 @pytest.fixture
@@ -57,14 +57,14 @@ def test_projection_complement_centering_matrix():
 
 
 def test_projection_complement_e1():
-    P = projection_complement(np.array([[1.0], [0.0]]), TWO_VERTEX)
+    P = projection_complement(DesignMatrix(np.array([[1.0], [0.0]])), TWO_VERTEX)
     assert np.allclose(P, np.diag([0.0, 1.0]))
 
 
 def test_projection_complement_annihilates_random_design():
     rng = np.random.default_rng(0)
     X = rng.standard_normal((10, 3))
-    P = projection_complement(X, build_lattice(2, 5))
+    P = projection_complement(DesignMatrix(X), build_lattice(2, 5))
     # oracle: direct multiplication
     assert np.abs(P @ X).max() < 1e-10
     assert np.abs(P @ P - P).max() < 1e-10
@@ -75,7 +75,7 @@ def test_projection_complement_idempotent_larger():
     rng = np.random.default_rng(7)
     for rows, cols, p in ((5, 10, 4), (10, 20, 6)):
         X = rng.standard_normal((rows * cols, p))
-        P = projection_complement(X, build_lattice(rows, cols))
+        P = projection_complement(DesignMatrix(X), build_lattice(rows, cols))
         assert np.abs(P @ P - P).max() < 1e-10
         assert np.abs(P @ X).max() < 1e-10
 
@@ -92,7 +92,7 @@ def test_moran_operator_rank_bound():
     g = build_lattice(2, 2)
     rng = np.random.default_rng(1)
     X = rng.standard_normal((4, 3))
-    op = moran_operator(X, g)
+    op = moran_operator(DesignMatrix(X), g)
     assert np.linalg.matrix_rank(op, tol=1e-10) <= 1
 
 
@@ -113,7 +113,7 @@ def test_moran_basis_rejects_when_no_positive_eigenvalues():
 
 def test_moran_basis_rejects_edgeless_graph():
     g = graph_from_edges(3, [])
-    X = np.ones((3, 1))
+    X = DesignMatrix(np.ones((3, 1)))
     with pytest.raises(ValueError, match="no edges"):
         moran_basis(X, g, q=1)
 
@@ -127,24 +127,6 @@ def test_moran_basis_orthonormal_and_orthogonal_to_design():
     assert np.all(np.diff(mb.eigenvalues) <= 1e-12)  # descending up to ties
     # Q_S is SPD for a connected graph
     assert np.all(np.linalg.eigvalsh(mb.Q_S) > 0)
-
-
-def test_moran_basis_threshold_rule():
-    g = build_lattice(8, 8)
-    X = lattice_design(g)
-    mb = moran_basis(X, g, threshold=0.5)
-    assert np.all(mb.standardized_eigenvalues > 0.5)
-    full, std = moran_spectrum(X, g)
-    assert mb.q == int(np.sum(std > 0.5))
-
-
-def test_moran_basis_requires_exactly_one_rule():
-    g = build_lattice(4, 4)
-    X = lattice_design(g)
-    with pytest.raises(ValueError, match="exactly one"):
-        moran_basis(X, g)
-    with pytest.raises(ValueError, match="exactly one"):
-        moran_basis(X, g, q=2, threshold=0.1)
 
 
 def test_moran_basis_30x30_400th_standardized_eigenvalue():
@@ -195,7 +177,7 @@ def test_rhz_basis_orthogonal_to_design():
     rng = np.random.default_rng(5)
     g = build_lattice(5, 8)
     X = rng.standard_normal((40, 3))
-    rb = rhz_basis(X, g)
+    rb = rhz_basis(DesignMatrix(X), g)
     assert np.abs(X.T @ rb.L).max() < 1e-8
 
 
@@ -222,7 +204,7 @@ def test_rhz_basis_matches_dense_oracles(case):
     # spans, and Q_R is the dense congruence L'QL of that same L
     g, X = _rhz_case(case)
     n, p = X.shape
-    rb = rhz_basis(X, g)
+    rb = rhz_basis(DesignMatrix(X), g)
     L = rb.L
     assert L.shape == (n, n - p) and rb.k == n - p
     ref = scipy.linalg.null_space(X.T)
@@ -359,17 +341,6 @@ def test_moran_basis_iterative_path_reproducible():
     assert moran_basis(X, g, q=5).M.tobytes() == moran_basis(X, g, q=5).M.tobytes()
 
 
-def test_moran_basis_threshold_on_large_graph():
-    g = build_lattice(60, 60)
-    X = lattice_design(g)
-    mb = moran_basis(X, g, threshold=0.98)
-    assert mb.q >= 1
-    assert np.all(mb.standardized_eigenvalues > 0.98)
-    # the next eigenvalue down must fall at or below the threshold
-    wider = moran_basis(X, g, q=mb.q + 5)
-    assert wider.standardized_eigenvalues[mb.q] <= 0.98
-
-
 def _two_islands_and_isolated_vertex(rows=36) -> tuple:
     # two rows x rows lattices side by side and one vertex with no edges
     # (n = 2593 for 36x36); the two islands double every eigenvalue of the
@@ -401,8 +372,8 @@ def test_moran_basis_iterative_path_keeps_every_copy_of_repeated_eigenvalues(cas
     # double eigenvalue at q = 11; the islands double every eigenvalue). The
     # kept eigenvalues must be the top q of the dense spectrum.
     g, X, q = _repeated_eigenvalue_case(case)
-    mb = moran_basis(X, g, q=q)
-    full, _ = moran_spectrum(X, g)
+    mb = moran_basis(DesignMatrix(X), g, q=q)
+    full, _ = moran_spectrum(DesignMatrix(X), g)
     assert np.abs(mb.eigenvalues - full[:q]).max() < 1e-10
     assert np.abs(mb.M.T @ mb.M - np.eye(q)).max() < 1e-8
     assert np.abs(X.T @ mb.M).max() < 1e-8
@@ -456,24 +427,17 @@ def test_dense_moran_basis_matches_full_eigh(case, eigensolver):
     g, X = _dense_case(case)
     op, ref_vals, ref_vecs = _full_eigh_reference(X, g)
     size = np.abs(ref_vals).max()
-    assert np.abs(moran_spectrum(X, g)[0] - ref_vals).max() <= 1e-12 * size
+    assert np.abs(moran_spectrum(DesignMatrix(X), g)[0] - ref_vals).max() <= 1e-12 * size
 
     # the first q from 40 on whose last eigenvalue is not tied with the next
     q = next(j for j in range(40, g.n) if ref_vals[j - 1] - ref_vals[j] > 1e-3 * size)
-    mb = moran_basis(X, g, q=q)
+    mb = moran_basis(DesignMatrix(X), g, q=q)
     assert np.abs(mb.eigenvalues - ref_vals[:q]).max() <= 1e-12 * size
     ref_M = ref_vecs[:, :q]
     assert np.abs(mb.M @ mb.M.T - ref_M @ ref_M.T).max() < 1e-10
     assert np.linalg.norm(op @ mb.M - mb.M * mb.eigenvalues, axis=0).max() < 1e-10
     assert np.abs(mb.M.T @ mb.M - np.eye(q)).max() < 1e-10
     assert np.abs(X.T @ mb.M).max() < 1e-10
-
-    # a threshold between the q-th and (q+1)-th standardized eigenvalues
-    scale = g.n / (2 * g.n_edges)
-    threshold = scale * (ref_vals[q - 1] + ref_vals[q]) / 2
-    by_threshold = moran_basis(X, g, threshold=threshold)
-    assert by_threshold.q == int(np.sum(ref_vals * scale > threshold)) == q
-    assert np.abs(by_threshold.eigenvalues - ref_vals[:q]).max() <= 1e-12 * size
 
 
 def test_dense_moran_basis_memory_is_one_n_by_n_buffer(eigensolver, traced_peak):
@@ -498,7 +462,7 @@ def test_shift_invert_moran_basis_memory_is_a_few_n_by_q_arrays(traced_peak):
     # basis. With ncv = q + 20 it is about 3.7 n q 8 bytes on this graph
     # (5.4 with scipy's default ncv = 2q + 1)
     g, pts = _delaunay_graph(3000, 3)
-    X = np.column_stack([np.ones(g.n), pts])
+    X = DesignMatrix(np.column_stack([np.ones(g.n), pts]))
     q = 100
     assert traced_peak(moran_basis, X, g, q=q) < 4.5 * g.n * q * 8
 
@@ -535,6 +499,7 @@ def _irregular_graphs(draw):
 @given(case=_irregular_graphs())
 def test_dense_and_shift_invert_moran_basis_agree(case, eigensolver):
     g, X, q = case
+    X = DesignMatrix(X)
     vals, _ = moran_spectrum(X, g)
     size = max(abs(vals[0]), 1.0)
     q = min(q, int(np.sum(vals > 1e-6 * size)))

@@ -11,7 +11,7 @@ import scipy.sparse.linalg
 from hypothesis import assume, given, settings
 from test_basis import _irregular_graphs
 
-from sglmm.basis import moran_spectrum
+from sglmm.basis import DesignMatrix, moran_spectrum
 from sglmm.cli import CONFIG_KEYS, _mcmc_from_settings, _spec_from_settings, dispatch
 from sglmm.graph import write_edge_list
 from sglmm.io import read_config, read_table, write_table
@@ -313,6 +313,45 @@ def test_eigs_threshold_50x50_returns_265_columns(tmp_path, capsys):
     assert "moran basis: 265 columns" in out
     spectrum = read_table(tmp_path / "s.csv")
     assert spectrum.n_rows == 2500
+
+
+def _eigs_on_toy(sim_dir, tmp_path, *rank_args):
+    return run(
+        ["eigs", "--graph", sim_dir / "toy_graph.edges", "--design", sim_dir / "toy_data.csv",
+         "--covariates", "x,y", "--spectrum-out", tmp_path / "s.csv", *rank_args]
+    )
+
+
+def test_eigs_q_and_threshold_together_rejected(sim_dir, tmp_path, capsys):
+    assert _eigs_on_toy(sim_dir, tmp_path, "--q", "2", "--threshold", "0.1") == 1
+    assert "not allowed with argument" in capsys.readouterr().err
+
+
+def test_eigs_threshold_must_be_positive(sim_dir, tmp_path, capsys):
+    assert _eigs_on_toy(sim_dir, tmp_path, "--threshold", "0") == 1
+    assert "threshold must be positive, got 0.0" in capsys.readouterr().err
+
+
+def test_eigs_threshold_above_the_spectrum_rejected(sim_dir, tmp_path, capsys):
+    assert _eigs_on_toy(sim_dir, tmp_path, "--threshold", "2") == 1
+    assert "no standardized eigenvalue exceeds threshold 2.0" in capsys.readouterr().err
+    assert read_table(tmp_path / "s.csv")["standardized_eigenvalue"].max() < 2
+
+
+def test_eigs_threshold_memory_is_one_n_by_n_buffer(tmp_path, capsys, traced_peak):
+    # the spectrum and then the q-pair basis each hold one n x n buffer, one
+    # after the other; asking dsyevr for the pairs above a value instead
+    # sizes its output n x n and holds two (2.07 n^2 doubles here)
+    from sglmm import build_lattice, lattice_design
+
+    g = build_lattice(30, 30)
+    write_edge_list(tmp_path / "g.edges", g)
+    X = lattice_design(g)
+    write_table(tmp_path / "d.csv", ["x", "y"], {"x": X.X[:, 0], "y": X.X[:, 1]})
+    argv = ["eigs", "--graph", str(tmp_path / "g.edges"), "--design", str(tmp_path / "d.csv"),
+            "--threshold", "0.5", "--spectrum-out", str(tmp_path / "s.csv")]
+    assert traced_peak(dispatch, argv) < 1.5 * g.n**2 * 8
+    assert capsys.readouterr().out.count("moran basis: 168 columns") == 2
 
 
 def test_eigs_map_output(sim_dir, tmp_path):
@@ -962,7 +1001,7 @@ def test_fit_validation_errors(sim_dir, tmp_path):
 @given(case=_irregular_graphs())
 def test_fit_on_irregular_graphs_exits_0_with_finite_outputs(case):
     g, X, q = case
-    vals, _ = moran_spectrum(X, g)
+    vals, _ = moran_spectrum(DesignMatrix(X), g)
     q = min(q, int(np.sum(vals > 1e-6 * max(abs(vals[0]), 1.0))))
     assume(q >= 1)
     rng = np.random.default_rng(g.n)

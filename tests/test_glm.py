@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from sglmm.basis import DesignMatrix
 from sglmm.glm import irls_fit
 from sglmm.model import ModelSpec, inverse_link, log_likelihood
 
@@ -15,7 +16,7 @@ def test_gaussian_irls_equals_ols():
     rng = np.random.default_rng(0)
     X = np.column_stack([np.ones(40), rng.standard_normal(40)])
     Z = X @ np.array([1.0, -2.0]) + rng.standard_normal(40)
-    fit = irls_fit("gaussian", X, Z)
+    fit = irls_fit("gaussian", DesignMatrix(X), Z)
     beta_ols = np.linalg.solve(X.T @ X, X.T @ Z)
     assert np.allclose(fit.beta_hat, beta_ols, atol=1e-12)
     assert fit.converged
@@ -28,7 +29,7 @@ def test_poisson_intercept_only_closed_form():
     # grid-search oracle confirms the maximizer
     X = np.ones((3, 1))
     Z = np.array([1.0, 2.0, 3.0])
-    fit = irls_fit("poisson", X, Z)
+    fit = irls_fit("poisson", DesignMatrix(X), Z)
     assert fit.beta_hat[0] == pytest.approx(np.log(2.0), abs=1e-10)
     grid = np.linspace(0.0, 1.5, 4001)
     spec = ModelSpec("poisson", "nonspatial")
@@ -40,7 +41,7 @@ def test_bernoulli_separated_data_does_not_converge():
     # perfectly separated: IRLS diverges and must report it
     X = np.column_stack([np.ones(8), np.arange(8.0)])
     Z = (np.arange(8.0) >= 4).astype(float)
-    fit = irls_fit("bernoulli", X, Z)
+    fit = irls_fit("bernoulli", DesignMatrix(X), Z)
     assert not fit.converged
 
 
@@ -50,7 +51,7 @@ def test_diverging_poisson_fit_is_reported_without_warnings():
     # turns warnings into errors)
     rng = np.random.default_rng(1)
     X = rng.uniform(0.0, 1.0, (36, 2))
-    fit = irls_fit("poisson", X, np.full(36, 1e12))
+    fit = irls_fit("poisson", DesignMatrix(X), np.full(36, 1e12))
     assert not fit.converged
     assert not np.all(np.isfinite(fit.beta_hat))
 
@@ -61,7 +62,7 @@ def test_bernoulli_fit_recovers_coefficients():
     X = np.column_stack([np.ones(n), rng.standard_normal(n)])
     eta = X @ np.array([0.3, -0.8])
     Z = (rng.random(n) < 1 / (1 + np.exp(-eta))).astype(float)
-    fit = irls_fit("bernoulli", X, Z)
+    fit = irls_fit("bernoulli", DesignMatrix(X), Z)
     assert fit.converged
     assert np.allclose(fit.beta_hat, [0.3, -0.8], atol=0.3)
 
@@ -73,7 +74,7 @@ def test_poisson_with_offset():
     exposure = rng.uniform(1, 100, n)
     eta = X @ np.array([-2.0, 0.5]) + np.log(exposure)
     Z = rng.poisson(np.exp(eta)).astype(float)
-    fit = irls_fit("poisson", X, Z, offset=exposure)
+    fit = irls_fit("poisson", DesignMatrix(X), Z, offset=exposure)
     assert fit.converged
     assert np.allclose(fit.beta_hat, [-2.0, 0.5], atol=0.15)
     grad = score("poisson", X, Z, fit.beta_hat, offset=exposure)
@@ -92,7 +93,7 @@ def test_gradient_small_at_optimum():
             Z = rng.poisson(np.exp(eta)).astype(float)
         else:
             Z = eta + rng.standard_normal(n)
-        fit = irls_fit(family, X, Z)
+        fit = irls_fit(family, DesignMatrix(X), Z)
         assert fit.converged
         assert np.abs(score(family, X, Z, fit.beta_hat)).max() < 1e-6
 
@@ -103,7 +104,7 @@ def test_cov_hat_matches_finite_difference_hessian():
     X = np.column_stack([np.ones(n), rng.standard_normal(n)])
     eta = X @ np.array([0.5, -0.7])
     Z = (rng.random(n) < 1 / (1 + np.exp(-eta))).astype(float)
-    fit = irls_fit("bernoulli", X, Z)
+    fit = irls_fit("bernoulli", DesignMatrix(X), Z)
     assert fit.converged
 
     # central differences of the log likelihood at beta-hat
@@ -128,7 +129,7 @@ def test_cov_hat_spd_when_converged():
     n = 150
     X = np.column_stack([np.ones(n), rng.standard_normal(n)])
     Z = rng.poisson(np.exp(X @ np.array([1.0, 0.2]))).astype(float)
-    fit = irls_fit("poisson", X, Z)
+    fit = irls_fit("poisson", DesignMatrix(X), Z)
     assert fit.converged
     assert np.all(np.linalg.eigvalsh(fit.cov_hat) > 0)
 
@@ -136,7 +137,7 @@ def test_cov_hat_spd_when_converged():
 def test_rejects_rank_deficient_design():
     X = np.column_stack([np.ones(10), np.ones(10)])
     with pytest.raises(ValueError, match="rank"):
-        irls_fit("gaussian", X, np.zeros(10))
+        irls_fit("gaussian", DesignMatrix(X), np.zeros(10))
 
 
 def test_irls_rejects_offset_of_wrong_shape_or_sign():
@@ -144,16 +145,16 @@ def test_irls_rejects_offset_of_wrong_shape_or_sign():
     Z = np.array([0.0, 1.0, 2.0, 1.0, 3.0, 4.0])
     for offset in ([2.0], np.ones(5)):
         with pytest.raises(ValueError, match="offset must have length 6"):
-            irls_fit("poisson", X, Z, offset=offset)
+            irls_fit("poisson", DesignMatrix(X), Z, offset=offset)
     # a zero exposure used to give beta_hat = [nan, nan] and converged=False
     with pytest.raises(ValueError, match="positive; entry 3 is 0"):
-        irls_fit("poisson", X, Z, offset=[1.0, 2.0, 3.0, 0.0, 5.0, 6.0])
+        irls_fit("poisson", DesignMatrix(X), Z, offset=[1.0, 2.0, 3.0, 0.0, 5.0, 6.0])
     with pytest.raises(ValueError, match="positive; entry 1 is nan"):
-        irls_fit("poisson", X, Z, offset=[1.0, np.nan, 3.0, 4.0, 5.0, 6.0])
+        irls_fit("poisson", DesignMatrix(X), Z, offset=[1.0, np.nan, 3.0, 4.0, 5.0, 6.0])
     with pytest.raises(ValueError, match="finite and positive; entry 2 is inf"):
-        irls_fit("poisson", X, Z, offset=[1.0, 2.0, np.inf, 4.0, 5.0, 6.0])
+        irls_fit("poisson", DesignMatrix(X), Z, offset=[1.0, 2.0, np.inf, 4.0, 5.0, 6.0])
 
 
 def test_offset_gaussian_rejected():
     with pytest.raises(ValueError, match="poisson"):
-        irls_fit("gaussian", np.ones((5, 1)), np.zeros(5), offset=np.ones(5))
+        irls_fit("gaussian", DesignMatrix(np.ones((5, 1))), np.zeros(5), offset=np.ones(5))
